@@ -8,12 +8,12 @@ mean-estimation noise that would otherwise dominate variance checks at
 moderate sample counts.
 
 The gaussian limit is checked by a one-sample Kolmogorov-Smirnov test with
-the asymptotic p-value series (truncated at 100 terms) plus skewness and
-kurtosis diagnostics. Degenerate limits (zero predicted variance) are never
-KS-tested against a point mass. For a two-point law the degenerate
-quadratic is constant on the support, so its trace is deterministic and the
-empirical variance is exactly 0 at every box radius; the degenerate cubics
-and quintic show a normalized empirical variance that decays with the radius.
+the asymptotic Kolmogorov p-value plus skewness and kurtosis diagnostics.
+Degenerate limits (zero predicted variance) are never KS-tested against a
+point mass. For a two-point law the degenerate quadratic is constant on the
+support, so its trace is deterministic and the empirical variance is exactly
+0 at every box radius; the degenerate cubics and quintic show a normalized
+empirical variance that decays with the radius.
 """
 
 from __future__ import annotations
@@ -25,14 +25,12 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .hamiltonian import BoxSpec, mean_trace_exact, sample_hamiltonian, trace_poly_numeric
 from .moments import MomentModel, format_distribution
 from .variance import Poly, sigma_squared
 
 _MASK64 = (1 << 64) - 1
-_KOLMOGOROV_TERMS = 100
 
 
 class KsResult(NamedTuple):
@@ -102,9 +100,13 @@ class FluctuationReport:
 def ks_test(samples: Sequence[float], sigma2: float) -> KsResult:
     """One-sample Kolmogorov-Smirnov against the centered normal law.
 
-    The p-value uses the asymptotic Kolmogorov series truncated at 100
-    terms. Needs at least 50 samples and a positive variance.
+    The p-value is the asymptotic Kolmogorov survival function at
+    sqrt(n) times the statistic. Needs at least 50 samples and a positive
+    variance.
     """
+    # imported here so that exact commands, which never test, skip scipy
+    from scipy.special import kolmogorov, ndtr
+
     data = np.sort(np.asarray(samples, dtype=float))
     n = len(data)
     if n < 50:
@@ -115,12 +117,7 @@ def ks_test(samples: Sequence[float], sigma2: float) -> KsResult:
     cdf = ndtr(data / math.sqrt(sigma2))
     grid = np.arange(1, n + 1) / n
     statistic = float(max((grid - cdf).max(), (cdf - (grid - 1 / n)).max()))
-    lam = math.sqrt(n) * statistic
-    pvalue = 2.0 * sum(
-        (-1) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
-        for j in range(1, _KOLMOGOROV_TERMS + 1)
-    )
-    return KsResult(statistic, min(max(pvalue, 0.0), 1.0))
+    return KsResult(statistic, float(kolmogorov(math.sqrt(n) * statistic)))
 
 
 def moment_diagnostics(samples: Sequence[float]) -> MomentDiagnostics:

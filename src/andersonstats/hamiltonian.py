@@ -2,13 +2,14 @@
 
 The operator on the box of radius L in Z^d is nearest-neighbor hopping with
 coefficient 1 plus a diagonal of iid site variables. Numeric traces of
-powers are computed per site through a local window: a walk of length k
-cannot leave the cube of radius k around its start, so k restricted
-applications of the operator to a basis vector recover the diagonal entry
-exactly up to float rounding. The expected trace is evaluated in exact
-rational arithmetic by counting, per balanced string, how many anchor
-positions keep the walk inside the box (a product of per-axis interval
-lengths, so no loop over sites is needed).
+powers are computed from half powers: column x of H^j is supported on the
+L1 ball of radius j around x, so the entries (H^j)_{x+delta, x} are kept
+for all sites at once as one grid-shaped array per offset delta in that
+ball, and Tr H^k is a sum of inner products of two such generations with
+j = ceil(k/2). The expected trace is evaluated in exact rational arithmetic
+by counting, per balanced string, how many anchor positions keep the walk
+inside the box (a product of per-axis interval lengths, so no loop over
+sites is needed).
 
 Floats are used only for sampled quantities; expectations stay rational and
 the two never mix silently.
@@ -19,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .budget import check_budget
 from .lattice import MultiIndex, Point
@@ -79,55 +80,88 @@ def sample_hamiltonian(
     return SampledHamiltonian(box, draws.reshape((box.n_side,) * box.d))
 
 
-def _window_shift(array: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """Shift along one window axis with zero fill: out[o] = array[o + step]."""
-    out = np.zeros_like(array)
-    src = [slice(None)] * array.ndim
-    dst = [slice(None)] * array.ndim
-    if step == 1:
-        src[axis] = slice(1, None)
-        dst[axis] = slice(None, -1)
-    else:
-        src[axis] = slice(None, -1)
-        dst[axis] = slice(1, None)
-    out[tuple(dst)] = array[tuple(src)]
-    return out
+def _l1_ball_size(d: int, r: int) -> int:
+    """Number of points of Z^d with L1 norm <= r: choose the k nonzero
+    coordinates, their signs, and absolute values summing to at most r."""
+    return sum(2**k * comb(d, k) * comb(r, k) for k in range(min(d, r) + 1))
+
+
+def _l1_ball(d: int, r: int) -> list[Point]:
+    """Points of Z^d with L1 norm <= r, ordered by norm, so that every
+    smaller ball is a prefix of the list."""
+    norm = lambda point: sum(map(abs, point))
+    return sorted(
+        (point for point in product(range(-r, r + 1), repeat=d) if norm(point) <= r),
+        key=norm,
+    )
 
 
 def trace_powers_numeric(
     h: SampledHamiltonian, max_power: int, budget: int | None = None
 ) -> list[float]:
-    """Traces of the operator powers 1..max_power by the local-window method.
+    """Traces of the operator powers 1..max_power from half powers.
 
-    All per-site windows advance together as one array of shape
-    (grid) x (window); a mask zeroes amplitude that the box truncation kills.
-    Cost is volume * power * window cells.
+    psi_j[delta](x) = (H^j)_{x+delta, x} for all sites x at once, one
+    grid-shaped array per offset delta with |delta|_1 <= j (a walk of length
+    j moves at most j steps). One application of the operator is
+
+        psi_{j+1}[delta](x) = V(x+delta) psi_j[delta](x)
+                              + sum over +-e_i of psi_j[delta +- e_i](x)
+
+    for x+delta in the box, and 0 outside it. The operator is real
+    symmetric, so Tr H^(2j-1) = sum_delta <psi_j[delta], psi_{j-1}[delta]>
+    and Tr H^(2j) = sum_delta <psi_j[delta], psi_j[delta]>: half powers up to
+    r = ceil(max_power / 2) suffice, with two generations live at once.
     """
     if max_power < 1:
         raise ValueError("need a power >= 1")
     box = h.box
-    d, m = box.d, max_power
-    window = (2 * m + 1,) * d
-    check_budget(box.volume * (2 * m + 1) ** d, budget, "trace window cells")
-
-    pad = [(m, m)] * d
-    pot_windows = sliding_window_view(np.pad(h.potential, pad), window)
-    mask_windows = sliding_window_view(
-        np.pad(np.ones_like(h.potential), pad), window
+    d, n = box.d, box.n_side
+    r = (max_power + 1) // 2
+    check_budget(
+        2 * box.volume * _l1_ball_size(d, r), budget, "trace half-power cells"
     )
-    center = (Ellipsis,) + (m,) * d
+    ball = _l1_ball(d, r)
+    position = {delta: i for i, delta in enumerate(ball)}
 
-    psi = np.zeros(h.potential.shape + window)
-    psi[center] = 1.0
-    traces = []
-    for _ in range(m):
-        hop = np.zeros_like(psi)
-        for axis in range(d, 2 * d):
-            hop += _window_shift(psi, axis, 1)
-            hop += _window_shift(psi, axis, -1)
-        psi = mask_windows * (pot_windows * psi + hop)
-        traces.append(float(psi[center].sum()))
-    return traces
+    # per offset: its position in the ball, the sites x with x+delta in the
+    # box (none once some |delta_i| >= n), the sites x+delta, and the
+    # positions of its lattice neighbours in the ball
+    steps = []
+    for i, delta in enumerate(ball):
+        if any(abs(c) >= n for c in delta):
+            continue
+        sites = tuple(slice(max(0, -c), n - max(0, c)) for c in delta)
+        shifted = tuple(slice(max(0, c), n + min(0, c)) for c in delta)
+        neighbours = [
+            position[moved]
+            for axis in range(d)
+            for step in (1, -1)
+            if (moved := delta[:axis] + (delta[axis] + step,) + delta[axis + 1 :])
+            in position
+        ]
+        steps.append((i, sites, shifted, neighbours))
+
+    potential = h.potential
+    psi = np.ones((1,) + potential.shape)
+    traces: list[float] = []
+    for j in range(1, r + 1):
+        previous = len(psi)
+        nxt = np.zeros((_l1_ball_size(d, j),) + potential.shape)
+        for i, sites, shifted, neighbours in steps:
+            if i >= len(nxt):
+                break
+            row = nxt[i][sites]
+            if i < previous:
+                np.multiply(potential[shifted], psi[i][sites], out=row)
+            for k in neighbours:
+                if k < previous:
+                    row += psi[k][sites]
+        flat = nxt.ravel()
+        traces.append(float(flat[: psi.size] @ psi.ravel()))
+        traces.append(float(flat @ flat))
+        psi = nxt
+    return traces[:max_power]
 
 
 def trace_poly_numeric(

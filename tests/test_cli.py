@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import andersonstats
 from andersonstats import (
     MomentModel,
     degenerate_basis,
@@ -197,3 +202,16 @@ def test_entry_point_raises_system_exit():
 
     with pytest.raises(SystemExit):
         run()
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    # exact commands never run a KS test, so they must not pay for scipy
+    source = str(Path(andersonstats.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    probe = "import sys, andersonstats.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

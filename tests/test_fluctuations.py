@@ -66,6 +66,18 @@ class TestKsTest:
         assert mine.pvalue == pytest.approx(reference.pvalue, rel=1e-6, abs=1e-12)
 
 
+    def test_pvalue_of_exact_quantiles_is_one(self):
+        # lambda = sqrt(n) * D = 0.005, where a truncated alternating series
+        # for the Kolmogorov survival function is far from its limit 1
+        n = 10_000
+        quantiles = scipy.stats.norm.ppf((np.arange(1, n + 1) - 0.5) / n)
+        mine = ks_test(quantiles, 1.0)
+        reference = scipy.stats.kstest(quantiles, "norm", method="asymp")
+        assert mine.statistic == pytest.approx(5e-5, rel=1e-6)
+        assert reference.pvalue == 1.0
+        assert mine.pvalue == pytest.approx(reference.pvalue, abs=1e-12)
+
+
 class TestMomentDiagnostics:
     def test_constant_samples_are_flagged(self):
         result = moment_diagnostics(np.full(100, 2.5))

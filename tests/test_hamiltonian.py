@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import numpy as np
@@ -23,7 +24,7 @@ from andersonstats import (
 )
 from andersonstats.variance import Poly
 
-from helpers import brute_mean_trace, dense_trace_poly, random_poly
+from helpers import brute_mean_trace, dense_matrix, dense_trace_poly, random_poly
 
 UNIFORM = MomentModel.uniform_symmetric(1)
 GAUSSIAN = MomentModel.gaussian(1)
@@ -115,6 +116,36 @@ def test_trace_powers_budget():
     h = sample_hamiltonian(BoxSpec(1, 50), UNIFORM, 1)
     with pytest.raises(BudgetExceededError):
         trace_powers_numeric(h, 5, budget=100)
+
+
+# BoxSpec(1, 1) at max_power 6 and BoxSpec(2, 1) at max_power 5 have a side
+# of 3, no wider than the half-power radius 3: some offsets leave the box
+@pytest.mark.parametrize("max_power", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d,L", [(1, 1), (1, 7), (2, 1), (2, 3), (3, 2)])
+def test_trace_powers_match_dense_eigendecomposition(d, L, max_power):
+    h = sample_hamiltonian(BoxSpec(d, L), GAUSSIAN, 10 * d + L)
+    eigenvalues = np.linalg.eigvalsh(dense_matrix(h))
+    traces = trace_powers_numeric(h, max_power)
+    assert len(traces) == max_power
+    for k, trace in enumerate(traces, start=1):
+        oracle = float(np.sum(eigenvalues**k))
+        assert abs(trace - oracle) <= 1e-10 * float(np.sum(np.abs(eigenvalues) ** k))
+
+
+def test_trace_powers_budget_counts_two_half_power_generations():
+    box = BoxSpec(2, 2)
+    max_power = 5
+    radius = 3  # ceil(max_power / 2)
+    ball = sum(
+        1 for p in product(range(-radius, radius + 1), repeat=2)
+        if abs(p[0]) + abs(p[1]) <= radius
+    )
+    required = 2 * box.volume * ball
+    h = sample_hamiltonian(box, UNIFORM, 1)
+    assert len(trace_powers_numeric(h, max_power, budget=required)) == max_power
+    with pytest.raises(BudgetExceededError) as info:
+        trace_powers_numeric(h, max_power, budget=required - 1)
+    assert info.value.required == required
 
 
 def test_mean_trace_first_power_is_zero():
