@@ -50,17 +50,9 @@ from .variance import (
 from .walks import (
     Census,
     PathCountTable,
-    Step,
-    StepString,
     balanced_census,
-    down,
-    is_balanced,
     path_counts,
-    pot,
-    potential_profile,
-    trajectory,
     truncated_coefficient,
-    up,
 )
 
 __version__ = "0.1.0"

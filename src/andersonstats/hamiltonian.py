@@ -7,9 +7,12 @@ L1 ball of radius j around x, so the entries (H^j)_{x+delta, x} are kept
 for all sites at once as one grid-shaped array per offset delta in that
 ball, and Tr H^k is a sum of inner products of two such generations with
 j = ceil(k/2). The expected trace is evaluated in exact rational arithmetic
-by counting, per balanced string, how many anchor positions keep the walk
-inside the box (a product of per-axis interval lengths, so no loop over
-sites is needed).
+from the visit classes of closed hop walks (see :mod:`andersonstats.walks`):
+per class, the anchor positions that keep the walk inside the box are a
+product of per-axis interval lengths, and each placement of the potential
+steps contributes a monomial whose expectation depends only on its sorted
+exponents. These integer counts are tallied per exponent tuple, and moments
+enter once per tuple at the end.
 
 Floats are used only for sampled quantities; expectations stay rational and
 the two never mix silently.
@@ -20,15 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 from .budget import check_budget
-from .lattice import MultiIndex, Point
-from .moments import MomentModel, moment, monomial_expectation, sample
+from .lattice import MultiIndex, adjacent, l1_ball
+from .moments import MomentModel, moment_product, monomial_expectation, sample
 from .variance import Poly
-from .walks import _scan_balanced
+from .walks import placements, profiles, visit_classes
+
 
 @dataclass(frozen=True)
 class BoxSpec:
@@ -86,16 +90,6 @@ def _l1_ball_size(d: int, r: int) -> int:
     return sum(2**k * comb(d, k) * comb(r, k) for k in range(min(d, r) + 1))
 
 
-def _l1_ball(d: int, r: int) -> list[Point]:
-    """Points of Z^d with L1 norm <= r, ordered by norm, so that every
-    smaller ball is a prefix of the list."""
-    norm = lambda point: sum(map(abs, point))
-    return sorted(
-        (point for point in product(range(-r, r + 1), repeat=d) if norm(point) <= r),
-        key=norm,
-    )
-
-
 def trace_powers_numeric(
     h: SampledHamiltonian, max_power: int, budget: int | None = None
 ) -> list[float]:
@@ -121,7 +115,7 @@ def trace_powers_numeric(
     check_budget(
         2 * box.volume * _l1_ball_size(d, r), budget, "trace half-power cells"
     )
-    ball = _l1_ball(d, r)
+    ball = l1_ball(d, r)
     position = {delta: i for i, delta in enumerate(ball)}
 
     # per offset: its position in the ball, the sites x with x+delta in the
@@ -133,13 +127,7 @@ def trace_powers_numeric(
             continue
         sites = tuple(slice(max(0, -c), n - max(0, c)) for c in delta)
         shifted = tuple(slice(max(0, c), n + min(0, c)) for c in delta)
-        neighbours = [
-            position[moved]
-            for axis in range(d)
-            for step in (1, -1)
-            if (moved := delta[:axis] + (delta[axis] + step,) + delta[axis + 1 :])
-            in position
-        ]
+        neighbours = [position[q] for q in adjacent(delta) if q in position]
         steps.append((i, sites, shifted, neighbours))
 
     potential = h.potential
@@ -184,34 +172,27 @@ def mean_trace_exact(
 ) -> Fraction:
     """Exact expectation of the trace of the k-th power over the box.
 
-    Per balanced string, the number of admissible anchors factorizes over
-    axes as max(0, side - walk range), and the monomial expectation
-    factorizes over sites, so the whole sum runs in string count times d.
+    Per visit class, the number of admissible anchors factorizes over axes
+    as max(0, side - walk range), and the monomial expectation depends only
+    on the multiset of potential exponents. Anchored string counts are
+    tallied per sorted exponent tuple in integers; moments enter once per
+    tuple at the end.
     """
     if k < 1:
         raise ValueError("need a power >= 1")
     model.require_order(k)
     side = box.n_side
-    total = Fraction(0)
-
-    def consume(profile: dict[Point, int], mins: Point, maxs: Point) -> None:
-        nonlocal total
-        anchors = 1
-        for lo, hi in zip(mins, maxs):
-            span = side - (hi - lo)
-            if span <= 0:
-                return
-            anchors *= span
-        weight = Fraction(1)
-        for exponent in profile.values():
-            factor = moment(model, exponent)
-            if factor == 0:
-                return
-            weight *= factor
-        total += anchors * weight
-
-    _scan_balanced(k, box.d, consume, budget)
-    return total
+    tally: dict[tuple[int, ...], int] = {}
+    for cls in visit_classes(k, box.d, budget):
+        anchored = cls.walks
+        for lo, hi in zip(cls.lows, cls.highs):
+            anchored *= max(0, side - (hi - lo))
+        if anchored == 0:
+            continue
+        for exponents, ways in placements(cls.gaps, k - cls.hops):
+            key = tuple(sorted(filter(None, exponents)))
+            tally[key] = tally.get(key, 0) + anchored * ways
+    return sum(count * moment_product(model, e) for e, count in tally.items())
 
 
 @dataclass
@@ -249,9 +230,9 @@ class SymbolicTrace:
 
 
 def symbolic_trace(k: int, box: BoxSpec, budget: int | None = None) -> SymbolicTrace:
-    """Expand the trace of the k-th power over all (string, anchor) pairs.
+    """Expand the trace of the k-th power over all (profile, anchor) pairs.
 
-    Small instances only: the cost is string count times box volume. The
+    Small instances only: the cost is profile count times box volume. The
     coefficient of every monomial equals the boundary-corrected coefficient
     from :func:`andersonstats.walks.truncated_coefficient`.
     """
@@ -262,25 +243,14 @@ def symbolic_trace(k: int, box: BoxSpec, budget: int | None = None) -> SymbolicT
     L = box.L
     terms: dict[MultiIndex, int] = {}
     constant = 0
-
-    def consume(profile: dict[Point, int], mins: Point, maxs: Point) -> None:
-        nonlocal constant
-        ranges = [range(-L - lo, L - hi + 1) for lo, hi in zip(mins, maxs)]
-        if not profile:
-            anchors = 1
-            for r in ranges:
-                anchors *= len(r)
-            constant += anchors
-            return
-        for anchor in product(*ranges):
-            index = MultiIndex.from_map(
-                box.d,
-                {
-                    tuple(c + a for c, a in zip(site, anchor)): e
-                    for site, e in profile.items()
-                },
-            )
-            terms[index] = terms.get(index, 0) + 1
-
-    _scan_balanced(k, box.d, consume, budget)
+    for cls in visit_classes(k, box.d, budget):
+        ranges = [range(-L - lo, L - hi + 1) for lo, hi in zip(cls.lows, cls.highs)]
+        if cls.hops == k:
+            constant += cls.walks * prod(len(r) for r in ranges)
+            continue
+        for anchor, entries, strings in profiles(cls, k - cls.hops):
+            profile = MultiIndex(box.d, entries)
+            for move in product(*ranges):
+                index = profile.shift(tuple(a + m for a, m in zip(anchor, move)))
+                terms[index] = terms.get(index, 0) + strings
     return SymbolicTrace(k, box, terms, constant)

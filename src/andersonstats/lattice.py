@@ -20,6 +20,7 @@ string.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping
 
 Point = tuple[int, ...]
@@ -162,3 +163,22 @@ def canonicalize(index: MultiIndex) -> tuple[MultiIndex, Point]:
     anchor = min(point for point, _ in index.entries)
     move = tuple(-c for c in anchor)
     return index.shift(move), move
+
+
+def l1_ball(d: int, r: int) -> list[Point]:
+    """Points of Z^d with L1 norm <= r, ordered by norm, so that every
+    smaller ball is a prefix of the list (the origin first)."""
+    norm = lambda point: sum(map(abs, point))
+    return sorted(
+        (point for point in product(range(-r, r + 1), repeat=d) if norm(point) <= r),
+        key=norm,
+    )
+
+
+def adjacent(point: Point) -> list[Point]:
+    """The 2d lattice neighbours of ``point``, one unit away along an axis."""
+    return [
+        point[:axis] + (point[axis] + step,) + point[axis + 1 :]
+        for axis in range(len(point))
+        for step in (1, -1)
+    ]

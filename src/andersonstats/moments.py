@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -149,18 +149,18 @@ def moment(model: MomentModel, order: int) -> Fraction:
     return double_factorial * model.variance ** (order // 2)
 
 
+def moment_product(model: MomentModel, exponents: Iterable[int]) -> Fraction:
+    """Expectation of a product of independent sites raised to ``exponents``;
+    it depends only on the multiset of exponents, and the empty product is 1."""
+    return math.prod((moment(model, e) for e in exponents), start=Fraction(1))
+
+
 def monomial_expectation(model: MomentModel, index: MultiIndex) -> Fraction:
     """Expectation of the site monomial of ``index`` under iid sites.
 
     Factorizes over sites; the zero multi-index gives 1.
     """
-    result = Fraction(1)
-    for _, exponent in index.entries:
-        factor = moment(model, exponent)
-        if factor == 0:
-            return Fraction(0)
-        result *= factor
-    return result
+    return moment_product(model, (e for _, e in index.entries))
 
 
 def monomial_covariance(

@@ -9,6 +9,14 @@ exist only for two- and three-point supports), classifies arbitrary
 polynomials, and carries an independent oracle that reproduces the variance
 from an equivalent local random variable on the radius-1 box.
 
+A limiting covariance sums, over pairs of path-count classes and over the
+translates that overlap, the covariance of two site monomials. That
+covariance depends only on the sorted exponents of the joint monomial and
+of the two factors, so the pair loop fills two integer histograms keyed by
+those exponent tuples; the model's moments are evaluated once per key at
+the end. ``offset_covariance_sum`` keeps the direct per-pair route as an
+oracle.
+
 Everything here is pure rational arithmetic; no epsilon appears anywhere.
 """
 
@@ -17,10 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add, sub
 
 from .lattice import MultiIndex, Point, delta
 from .moments import (
     MomentModel,
+    moment_product,
     monomial_covariance,
     monomial_expectation,
     support_class,
@@ -114,15 +124,18 @@ def offset_covariance_sum(
     rest), so the sum is finite and evaluated exactly. The offsets are taken
     from the Minkowski difference of the supports, not a fixed window.
     """
-    offsets = {
-        tuple(b - g for b, g in zip(p_left, p_right))
-        for p_left in left.support()
-        for p_right in right.support()
-    }
     total = Fraction(0)
-    for offset in offsets:
+    for offset in _overlapping_offsets(left.support(), right.support()):
         total += monomial_covariance(model, left, right, offset)
     return total
+
+
+def _overlapping_offsets(left_sites, right_sites) -> set[Point]:
+    """Translates of the right support that meet the left one."""
+    return {tuple(map(sub, p, q)) for p in left_sites for q in right_sites}
+
+
+_COVARIANCE_CACHE: dict[tuple[tuple[int, int], MomentModel, int], Fraction] = {}
 
 
 def limiting_covariance(
@@ -131,7 +144,12 @@ def limiting_covariance(
     """Limiting covariance of the normalized centered traces of two powers.
 
     Symmetric in the pair; the diagonal entries are the per-power limiting
-    variances.
+    variances. Equal to the sum of c_alpha c_beta offset_covariance_sum(alpha,
+    beta) over the classes of the two path-count tables; each covariance is
+    E[x^(alpha + beta_delta)] - E[x^alpha] E[x^beta], so the integer weights
+    are tallied per sorted exponent tuple of the joint monomial and per pair
+    of exponent tuples, and moments enter once per tuple at the end.
+    Memoized per (sorted powers, model, d) after the budget checks.
     """
     k, l = powers
     if k < 1 or l < 1:
@@ -139,10 +157,36 @@ def limiting_covariance(
     model.require_order(k + l)
     left_table = path_counts(k, d, budget)
     right_table = path_counts(l, d, budget)
-    total = Fraction(0)
+    key = ((min(k, l), max(k, l)), model, d)
+    cached = _COVARIANCE_CACHE.get(key)
+    if cached is not None:
+        return cached
+
+    joint: dict[tuple[int, ...], int] = {}
+    separate: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for left, count_left in left_table.counts.items():
+        left_map = left.to_map()
         for right, count_right in right_table.counts.items():
-            total += count_left * count_right * offset_covariance_sum(left, right, model)
+            weight = count_left * count_right
+            offsets = _overlapping_offsets(left_map, right.support())
+            for offset in offsets:
+                merged = dict(left_map)
+                for point, e in right.entries:
+                    site = tuple(map(add, point, offset))
+                    merged[site] = merged.get(site, 0) + e
+                exponents = tuple(sorted(merged.values()))
+                joint[exponents] = joint.get(exponents, 0) + weight
+            pair = (
+                tuple(sorted(left_map.values())),
+                tuple(sorted(e for _, e in right.entries)),
+            )
+            separate[pair] = separate.get(pair, 0) + weight * len(offsets)
+
+    total = sum(weight * moment_product(model, e) for e, weight in joint.items()) - sum(
+        weight * moment_product(model, a) * moment_product(model, b)
+        for (a, b), weight in separate.items()
+    )
+    _COVARIANCE_CACHE[key] = total
     return total
 
 

@@ -1,186 +1,175 @@
-"""Enumeration of lattice walk strings and exact path-count tables.
+"""Exact path-count tables from closed hop walks and potential placements.
 
-A step string is a word over the alphabet {potential, up(v), down(v)} with
-axes v = 1..d. Its walk starts at the origin; up/down steps move one unit
-along an axis and potential steps stay put. A string is balanced when the
-walk returns to the origin. The potential profile of a string is the
-multi-index counting, per site, how many potential steps rest there.
+A step string of length k is a word over {potential, up(v), down(v)}, axes
+v = 1..d; its walk starts at the origin, hops move one unit along an axis
+and potential steps stay put. A string is balanced when the walk returns to
+the origin; its potential profile counts the potential steps per site.
 
-``path_counts`` tallies balanced strings by the translation class of their
-potential profile; these integers are the bulk coefficients of the site
-monomials in the trace of the k-th power of a finite-volume operator, and
-``truncated_coefficient`` gives the boundary-corrected coefficient for a
-concrete box.
+A balanced string with j hops is a closed hop walk y_0..y_j plus k - j
+potential steps spread over its j + 1 gaps, gap i sitting at site y_i. So
+only closed hop walks are enumerated (depth first, dropping a prefix once
+its L1 distance to the origin exceeds the hops left) and tallied by visit
+map, site -> gaps there. A map with n_s gaps at site s carries the profile
+e in prod_s C(e_s + n_s - 1, n_s - 1) ways (stars and bars), and its
+bounding box is the range of its walks.
 
-Enumeration is depth-first with pruning: a prefix is abandoned as soon as
-the L1 distance back to the origin exceeds the remaining steps. The node
-budget (see :mod:`andersonstats.budget`) rejects requests whose full string
-count is out of reach before any work starts.
+``path_counts`` tallies these integer weights per translation class of the
+profile: the bulk coefficients of the site monomials in the trace of the
+k-th power of a finite-volume operator. ``truncated_coefficient`` gives the
+boundary-corrected coefficient for a box. The budget (see
+:mod:`andersonstats.budget`) is charged the string count (2d+1)^k before
+any work starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import lru_cache
+from math import comb
+from operator import sub
+from typing import Iterator, NamedTuple
 
 from .budget import check_budget
-from .lattice import MultiIndex, Point, canonicalize
-
-_POT = "pot"
-_UP = "up"
-_DOWN = "down"
+from .lattice import MultiIndex, Point, adjacent, canonicalize, l1_ball
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
-    """One symbol: a potential rest, or a unit hop along an axis.
+class VisitClass(NamedTuple):
+    """The closed hop walks from the origin that share one visit map.
 
-    ``axis`` is 1-based and only meaningful for hops.
+    ``sites`` are the visited sites sorted lexicographically, ``gaps[i]`` the
+    number of gaps at ``sites[i]`` (they sum to ``hops + 1``), ``walks`` the
+    number of such walks, and ``lows``/``highs`` the per-axis extremes of
+    the sites.
     """
 
-    kind: str
-    axis: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in (_POT, _UP, _DOWN):
-            raise ValueError(f"unknown step kind {self.kind!r}")
-        if self.kind == _POT and self.axis != 0:
-            raise ValueError("potential steps carry no axis")
-        if self.kind != _POT and self.axis < 1:
-            raise ValueError("hop steps need a 1-based axis")
+    hops: int
+    sites: tuple[Point, ...]
+    gaps: tuple[int, ...]
+    walks: int
+    lows: Point
+    highs: Point
 
 
-def pot() -> Step:
-    return Step(_POT)
-
-
-def up(axis: int) -> Step:
-    return Step(_UP, axis)
-
-
-def down(axis: int) -> Step:
-    return Step(_DOWN, axis)
-
-
-@dataclass(frozen=True, slots=True)
-class StepString:
-    """A word of steps together with its ambient dimension."""
-
-    d: int
-    steps: tuple[Step, ...]
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if len(self.steps) < 1:
-            raise ValueError("a step string has length >= 1")
-        for step in self.steps:
-            if step.axis > self.d:
-                raise ValueError(f"axis {step.axis} exceeds dimension {self.d}")
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-def trajectory(s: StepString) -> tuple[Point, ...]:
-    """Walk positions y_0..y_k, starting at the origin."""
-    position = [0] * s.d
-    points = [tuple(position)]
-    for step in s.steps:
-        if step.kind == _UP:
-            position[step.axis - 1] += 1
-        elif step.kind == _DOWN:
-            position[step.axis - 1] -= 1
-        points.append(tuple(position))
-    return tuple(points)
-
-
-def is_balanced(s: StepString) -> bool:
-    """True iff the walk ends where it started (hops cancel per axis)."""
-    return trajectory(s)[-1] == tuple([0] * s.d)
-
-
-def potential_profile(s: StepString) -> MultiIndex:
-    """Multi-index counting potential steps per site; may be zero."""
-    counts: dict[Point, int] = {}
-    position = [0] * s.d
-    for step in s.steps:
-        if step.kind == _POT:
-            site = tuple(position)
-            counts[site] = counts.get(site, 0) + 1
-        elif step.kind == _UP:
-            position[step.axis - 1] += 1
-        else:
-            position[step.axis - 1] -= 1
-    return MultiIndex.from_map(s.d, counts)
-
-
-# Raw profiles inside the scanner are plain dicts keyed by coordinate tuples;
-# MultiIndex objects are only built at the public boundary.
-_Consumer = Callable[[dict[Point, int], Point, Point], None]
-
-
-def _scan_balanced(k: int, d: int, consume: _Consumer, budget: int | None) -> None:
-    """Depth-first scan of all balanced strings of length k in dimension d.
-
-    Calls ``consume(profile, mins, maxs)`` once per balanced string, where
-    ``profile`` maps sites to potential-step counts (empty for none) and
-    ``mins``/``maxs`` are the per-axis extremes of the walk. ``profile`` is
-    reused between calls and must not be retained.
-    """
+def _check_strings(k: int, d: int, budget: int | None) -> None:
     if k < 1 or d < 1:
         raise ValueError("need k >= 1 and d >= 1")
     check_budget((2 * d + 1) ** k, budget, f"enumerating ({2 * d + 1})^{k} strings")
 
-    position = [0] * d
-    mins = [0] * d
-    maxs = [0] * d
-    profile: dict[Point, int] = {}
-    axes = range(d)
 
-    def recurse(remaining: int, distance: int) -> None:
-        if remaining == 0:
-            # pruning guarantees distance == 0 here
-            consume(profile, tuple(mins), tuple(maxs))
+def _closed_walks(max_hops: int, d: int) -> tuple[list, int, list[dict[int, int]]]:
+    """Closed hop walks from the origin with at most ``max_hops`` (even) hops.
+
+    Returns the L1 ball of radius max_hops // 2 (the farthest such a walk
+    gets), the bits per site, and per hop count j a tally of the walks by
+    anchored visit map. A visit map is packed into one integer: the gap
+    count at ``ball[i]`` sits in bits [i * bits, (i + 1) * bits).
+    """
+    ball = l1_ball(d, max_hops // 2)
+    bits = (max_hops + 1).bit_length()
+    index = {site: i for i, site in enumerate(ball)}
+    # per ball site: (ball index, L1 norm, packed unit) of each neighbour
+    neighbours = [
+        [
+            (index[q], sum(map(abs, q)), 1 << (bits * index[q]))
+            for q in adjacent(site)
+            if q in index
+        ]
+        for site in ball
+    ]
+    tallies: list[dict[int, int]] = [{} for _ in range(max_hops + 1)]
+
+    def recurse(i: int, remaining: int, key: int) -> None:
+        if i == 0:
+            tally = tallies[max_hops - remaining]
+            tally[key] = tally.get(key, 0) + 1
+        if remaining == 1:
+            # the last hop is forced: back to the origin
+            key += 1
+            tally = tallies[max_hops]
+            tally[key] = tally.get(key, 0) + 1
             return
         left = remaining - 1
-        if distance <= left:
-            site = tuple(position)
-            profile[site] = profile.get(site, 0) + 1
-            recurse(left, distance)
-            if profile[site] == 1:
-                del profile[site]
-            else:
-                profile[site] -= 1
-        for axis in axes:
-            old = position[axis]
-            for move in (1, -1):
-                new = old + move
-                new_distance = distance - abs(old) + abs(new)
-                if new_distance > left:
-                    continue
-                position[axis] = new
-                old_min, old_max = mins[axis], maxs[axis]
-                if new < old_min:
-                    mins[axis] = new
-                elif new > old_max:
-                    maxs[axis] = new
-                recurse(left, new_distance)
-                mins[axis], maxs[axis] = old_min, old_max
-            position[axis] = old
+        for moved, norm, unit in neighbours[i]:
+            if norm <= left:
+                recurse(moved, left, key + unit)
 
-    recurse(k, 0)
+    recurse(0, max_hops, 1)
+    return ball, bits, tallies
 
 
-def _canonical_key(profile: dict[Point, int]) -> tuple[tuple[Point, int], ...]:
-    """Sorted entries of the profile translated so its lex-min site is 0."""
-    anchor = min(profile)
+def _classes(max_hops: int, d: int) -> Iterator[VisitClass]:
+    """Unpack the visit maps of ``_closed_walks`` one class at a time."""
+    ball, bits, tallies = _closed_walks(max_hops, d)
+    mask = (1 << bits) - 1
+    for tally in tallies:
+        for key, walks in tally.items():
+            visits = []
+            while key:
+                shift = ((key & -key).bit_length() - 1) // bits * bits
+                n = (key >> shift) & mask
+                visits.append((ball[shift // bits], n))
+                key ^= n << shift
+            visits.sort()
+            sites, gaps = zip(*visits)
+            axes = list(zip(*sites))
+            lows, highs = tuple(map(min, axes)), tuple(map(max, axes))
+            yield VisitClass(sum(gaps) - 1, sites, gaps, walks, lows, highs)
+
+
+def visit_classes(
+    k: int, d: int, budget: int | None = None, max_hops: int | None = None
+) -> Iterator[VisitClass]:
+    """Visit classes behind the balanced strings of length k in dimension d,
+    with at most ``max_hops`` hops (default k).
+
+    The budget is checked on every call, against the string count.
+    """
+    _check_strings(k, d, budget)
+    hops = k if max_hops is None else min(k, max_hops)
+    if hops < 0:
+        return iter(())
+    # walks close only at even lengths
+    return _classes(hops - hops % 2, d)
+
+
+@lru_cache(maxsize=None)
+def _compositions(parts: int, total: int) -> tuple[tuple[int, ...], ...]:
+    """Every way to write ``total`` as an ordered sum of ``parts`` >= 1
+    terms >= 0."""
+    if parts == 1:
+        return ((total,),)
     return tuple(
-        sorted(
-            (tuple(c - a for c, a in zip(site, anchor)), e)
-            for site, e in profile.items()
-        )
+        (e,) + rest
+        for e in range(total + 1)
+        for rest in _compositions(parts - 1, total - e)
     )
+
+
+def placements(gaps: tuple[int, ...], rest: int) -> Iterator[tuple[tuple, int]]:
+    """Every way to put ``rest`` potential steps on sites with the given gap
+    counts: pairs (exponent per site, number of gap assignments giving it)."""
+    # a site with one gap takes its steps in one way
+    repeated = [(i, n - 1) for i, n in enumerate(gaps) if n > 1]
+    for exponents in _compositions(len(gaps), rest):
+        ways = 1
+        for i, m in repeated:
+            ways *= comb(exponents[i] + m, m)
+        yield exponents, ways
+
+
+def profiles(cls: VisitClass, rest: int) -> Iterator[tuple[Point, tuple, int]]:
+    """The profiles that ``rest`` >= 1 potential steps on the walks of
+    ``cls`` leave: triples (anchor, entries, strings) with the lex-min
+    occupied site as anchor, the profile as sorted (site - anchor, exponent)
+    entries, and the number of balanced strings leaving it."""
+    relative = [[tuple(map(sub, s, a)) for s in cls.sites] for a in cls.sites]
+    for exponents, ways in placements(cls.gaps, rest):
+        first = 0
+        while not exponents[first]:
+            first += 1
+        sites = relative[first]
+        entries = tuple([(sites[i], e) for i, e in enumerate(exponents) if e])
+        yield cls.sites[first], entries, cls.walks * ways
 
 
 @dataclass(frozen=True)
@@ -219,23 +208,16 @@ def path_counts(k: int, d: int, budget: int | None = None) -> PathCountTable:
     indexed by canonical representatives. Memoized per (k, d); the budget is
     still checked on every call so resource errors are deterministic.
     """
-    check_budget((2 * d + 1) ** k, budget, f"enumerating ({2 * d + 1})^{k} strings")
+    _check_strings(k, d, budget)
     cached = _TABLE_CACHE.get((k, d))
     if cached is not None:
         return cached
 
     tally: dict[tuple[tuple[Point, int], ...], int] = {}
-
-    def consume(profile: dict[Point, int], mins: Point, maxs: Point) -> None:
-        if not profile:
-            return
-        key = _canonical_key(profile)
-        tally[key] = tally.get(key, 0) + 1
-
-    _scan_balanced(k, d, consume, budget)
-    table = PathCountTable(
-        k, d, {MultiIndex(d, key): n for key, n in tally.items()}
-    )
+    for cls in visit_classes(k, d, budget, max_hops=k - 1):
+        for _, key, strings in profiles(cls, k - cls.hops):
+            tally[key] = tally.get(key, 0) + strings
+    table = PathCountTable(k, d, {MultiIndex(d, key): n for key, n in tally.items()})
     _TABLE_CACHE[(k, d)] = table
     return table
 
@@ -256,26 +238,19 @@ def truncated_coefficient(
         raise ValueError("the zero multi-index labels no monomial")
     if L < 1:
         raise ValueError(f"box radius must be >= 1, got {L}")
-    d = index.d
-    target_key = _canonical_key(index.to_map())
-    target_anchor = min(index.support())
+    target, _ = canonicalize(index)
     found = 0
-
-    def consume(profile: dict[Point, int], mins: Point, maxs: Point) -> None:
-        nonlocal found
-        if not profile:
-            return
-        if _canonical_key(profile) != target_key:
-            return
-        # unique translation taking this profile onto the target
-        anchor = min(profile)
-        move = tuple(t - a for t, a in zip(target_anchor, anchor))
-        if all(
-            -L <= lo + m and hi + m <= L for lo, hi, m in zip(mins, maxs, move)
-        ):
-            found += 1
-
-    _scan_balanced(k, d, consume, budget)
+    for cls in visit_classes(k, index.d, budget, max_hops=k - target.total_exponent()):
+        for anchor, key, strings in profiles(cls, k - cls.hops):
+            if key != target.entries:
+                continue
+            # the translation taking this profile onto ``index``
+            move = tuple(map(sub, index.entries[0][0], anchor))
+            if all(
+                -L <= lo + m and hi + m <= L
+                for lo, hi, m in zip(cls.lows, cls.highs, move)
+            ):
+                found += strings
     return found
 
 
@@ -287,16 +262,11 @@ class Census(NamedTuple):
 def balanced_census(k: int, d: int, budget: int | None = None) -> Census:
     """Count balanced strings of length k, and those with >= 1 potential step.
 
-    The second count equals the sum of all entries of ``path_counts(k, d)``.
+    A closed hop walk of j hops takes its k - j potential steps in C(k, j)
+    ways. The second count equals the sum of all entries of
+    ``path_counts(k, d)``.
     """
-    total = 0
-    with_pot = 0
-
-    def consume(profile: dict[Point, int], mins: Point, maxs: Point) -> None:
-        nonlocal total, with_pot
-        total += 1
-        if profile:
-            with_pot += 1
-
-    _scan_balanced(k, d, consume, budget)
-    return Census(total, with_pot)
+    _check_strings(k, d, budget)
+    _, _, tallies = _closed_walks(k - k % 2, d)
+    strings = [comb(k, j) * sum(tally.values()) for j, tally in enumerate(tallies)]
+    return Census(sum(strings), sum(strings[:k]))

@@ -1,15 +1,17 @@
 """Shared test helpers: independent brute-force oracles and model generators.
 
-The oracles here deliberately avoid the library's pruned scanner and window
-arithmetic: strings are enumerated with itertools over the public step
-types, traces come from dense eigendecompositions, and expected traces from
-a literal (string, anchor) double loop. They are slow and only meant for
-small instances.
+The oracles here share no code with the library's walk enumeration: step
+strings are their own types defined below, enumerated with itertools and
+checked one at a time; traces come from dense eigendecompositions, and
+expected traces from a literal (string, anchor) double loop. They are slow
+and only meant for small instances.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from random import Random
 
@@ -19,18 +21,94 @@ from andersonstats import (
     BoxSpec,
     MomentModel,
     MultiIndex,
+    Point,
     SampledHamiltonian,
-    StepString,
     canonicalize,
-    down,
-    is_balanced,
     monomial_expectation,
-    pot,
-    potential_profile,
-    trajectory,
-    up,
 )
 from andersonstats.variance import Poly
+
+_POT = "pot"
+_UP = "up"
+_DOWN = "down"
+
+
+@dataclass(frozen=True, slots=True)
+class Step:
+    """One symbol: a potential rest, or a unit hop along an axis.
+
+    ``axis`` is 1-based and only meaningful for hops.
+    """
+
+    kind: str
+    axis: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in (_POT, _UP, _DOWN):
+            raise ValueError(f"unknown step kind {self.kind!r}")
+        if self.kind == _POT and self.axis != 0:
+            raise ValueError("potential steps carry no axis")
+        if self.kind != _POT and self.axis < 1:
+            raise ValueError("hop steps need a 1-based axis")
+
+
+def pot() -> Step:
+    return Step(_POT)
+
+
+def up(axis: int) -> Step:
+    return Step(_UP, axis)
+
+
+def down(axis: int) -> Step:
+    return Step(_DOWN, axis)
+
+
+@dataclass(frozen=True, slots=True)
+class StepString:
+    """A word of steps together with its ambient dimension."""
+
+    d: int
+    steps: tuple[Step, ...]
+
+    def __post_init__(self) -> None:
+        if self.d < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.d}")
+        if len(self.steps) < 1:
+            raise ValueError("a step string has length >= 1")
+        for step in self.steps:
+            if step.axis > self.d:
+                raise ValueError(f"axis {step.axis} exceeds dimension {self.d}")
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+
+def trajectory(s: StepString) -> tuple[Point, ...]:
+    """Walk positions y_0..y_k, starting at the origin."""
+    position = [0] * s.d
+    points = [tuple(position)]
+    for step in s.steps:
+        if step.kind == _UP:
+            position[step.axis - 1] += 1
+        elif step.kind == _DOWN:
+            position[step.axis - 1] -= 1
+        points.append(tuple(position))
+    return tuple(points)
+
+
+def is_balanced(s: StepString) -> bool:
+    """True iff the walk ends where it started (hops cancel per axis)."""
+    return trajectory(s)[-1] == tuple([0] * s.d)
+
+
+def potential_profile(s: StepString) -> MultiIndex:
+    """Multi-index counting potential steps per site; may be zero."""
+    counts: dict[Point, int] = {}
+    for step, site in zip(s.steps, trajectory(s)):
+        if step.kind == _POT:
+            counts[site] = counts.get(site, 0) + 1
+    return MultiIndex.from_map(s.d, counts)
 
 
 def alphabet(d: int):
@@ -65,9 +143,12 @@ def _stays_inside(points, anchor, L: int) -> bool:
     )
 
 
-def brute_truncated_coefficient(index: MultiIndex, k: int, L: int) -> int:
-    d = index.d
-    count = 0
+@lru_cache(maxsize=None)
+def brute_truncated_table(k: int, d: int, L: int) -> dict[MultiIndex, int]:
+    """Anchored profile -> number of (balanced string, anchor) pairs whose
+    anchored walk stays inside the box of radius L (anchors outside the box
+    never qualify, since the walk starts at its anchor)."""
+    table: dict[MultiIndex, int] = {}
     for s in all_strings(k, d):
         if not is_balanced(s):
             continue
@@ -75,10 +156,15 @@ def brute_truncated_coefficient(index: MultiIndex, k: int, L: int) -> int:
         if profile.is_zero:
             continue
         points = trajectory(s)
-        for anchor in product(range(-L - k, L + k + 1), repeat=d):
-            if profile.shift(anchor) == index and _stays_inside(points, anchor, L):
-                count += 1
-    return count
+        for anchor in product(range(-L, L + 1), repeat=d):
+            if _stays_inside(points, anchor, L):
+                index = profile.shift(anchor)
+                table[index] = table.get(index, 0) + 1
+    return table
+
+
+def brute_truncated_coefficient(index: MultiIndex, k: int, L: int) -> int:
+    return brute_truncated_table(k, index.d, L).get(index, 0)
 
 
 def brute_mean_trace(k: int, box: BoxSpec, model: MomentModel) -> Fraction:

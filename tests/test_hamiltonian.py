@@ -165,7 +165,10 @@ def test_mean_trace_odd_powers_vanish_for_symmetric_models():
                 assert mean_trace_exact(k, BoxSpec(1, L), model) == 0
 
 
-@pytest.mark.parametrize("k,d,L", [(1, 1, 2), (2, 1, 2), (3, 1, 2), (2, 2, 1), (3, 2, 1)])
+@pytest.mark.parametrize(
+    "k,d,L",
+    [(1, 1, 2), (2, 1, 2), (3, 1, 2), (2, 2, 1), (3, 2, 1), (2, 3, 1), (3, 3, 1), (4, 3, 1)],
+)
 def test_mean_trace_matches_brute_force(k, d, L):
     box = BoxSpec(d, L)
     for model in (UNIFORM, SKEWED):

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from andersonstats import (
+    BudgetExceededError,
     MomentModel,
     MultiIndex,
     classify,
@@ -15,6 +16,7 @@ from andersonstats import (
     limiting_covariance,
     moment,
     offset_covariance_sum,
+    path_counts,
     sigma_squared,
     sigma_squared_local_oracle,
     support_class,
@@ -68,6 +70,32 @@ def test_offset_covariance_sum_adjacent_pair():
     # site, so only the aligned term survives
     pair = MultiIndex.from_map(1, {(0,): 1, (1,): 1})
     assert offset_covariance_sum(pair, pair, UNIFORM) == Fraction(1, 9)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_limiting_covariance_matches_offset_sums(d):
+    # the exponent-histogram route against the direct per-pair, per-offset
+    # sums of offset_covariance_sum
+    for model in ALL_KINDS:
+        for k in range(1, 7):
+            for l in range(1, 7):
+                left, right = path_counts(k, d), path_counts(l, d)
+                expected = sum(
+                    (
+                        count_left * count_right * offset_covariance_sum(a, b, model)
+                        for a, count_left in left.counts.items()
+                        for b, count_right in right.counts.items()
+                    ),
+                    Fraction(0),
+                )
+                assert limiting_covariance((k, l), model, d) == expected
+
+
+def test_limiting_covariance_memo_still_checks_budget():
+    value = limiting_covariance((3, 4), UNIFORM, 2)
+    assert limiting_covariance((4, 3), UNIFORM, 2) == value
+    with pytest.raises(BudgetExceededError):
+        limiting_covariance((3, 4), UNIFORM, 2, budget=10)
 
 
 def test_limiting_covariance_base_cases():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from itertools import product
+from math import comb, factorial
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -7,24 +10,28 @@ import hypothesis.strategies as st
 from andersonstats import (
     BudgetExceededError,
     MultiIndex,
-    Step,
-    StepString,
     balanced_census,
     canonicalize,
     delta,
-    down,
-    is_balanced,
     path_counts,
-    pot,
-    potential_profile,
     shift,
-    trajectory,
     truncated_coefficient,
-    up,
 )
+from andersonstats.walks import placements
 
 from conftest import points
-from helpers import brute_path_counts, brute_truncated_coefficient
+from helpers import (
+    Step,
+    StepString,
+    brute_path_counts,
+    brute_truncated_coefficient,
+    down,
+    is_balanced,
+    pot,
+    potential_profile,
+    trajectory,
+    up,
+)
 
 
 def s1(*steps):
@@ -94,7 +101,11 @@ def test_path_counts_k5_d2():
     assert table.counts == expected
 
 
-@pytest.mark.parametrize("k,d", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2), (4, 2)])
+@pytest.mark.parametrize(
+    "k,d",
+    [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2)]
+    + [(2, 3), (3, 3), (4, 3), (5, 3)],
+)
 def test_path_counts_match_brute_force(k, d):
     assert path_counts(k, d).counts == brute_path_counts(k, d)
 
@@ -110,6 +121,45 @@ def test_census_aggregates_table(k, d):
     census = balanced_census(k, d)
     assert sum(path_counts(k, d).counts.values()) == census.with_pot
     assert census.with_pot <= census.total_balanced
+
+
+def closed_hop_walks(j: int, d: int) -> int:
+    """Closed nearest-neighbour walks of length j on Z^d, d <= 3, in closed
+    form: C(2n, n) in d=1, C(2n, n)^2 in d=2, and in d=3 the sum over
+    a + b + c = n of (2n)! / (a! b! c!)^2."""
+    if j % 2:
+        return 0
+    n = j // 2
+    if d == 1:
+        return comb(2 * n, n)
+    if d == 2:
+        return comb(2 * n, n) ** 2
+    return sum(
+        factorial(2 * n) // (factorial(a) * factorial(b) * factorial(n - a - b)) ** 2
+        for a in range(n + 1)
+        for b in range(n - a + 1)
+    )
+
+
+@pytest.mark.parametrize("d,max_k", [(1, 12), (2, 12), (3, 10)])
+def test_census_matches_closed_form(d, max_k):
+    # a balanced string is a closed hop walk of j hops with its k - j
+    # potential steps placed among the k positions: C(k, j) ways
+    for k in range(1, max_k + 1):
+        census = balanced_census(k, d)
+        expected = sum(comb(k, j) * closed_hop_walks(j, d) for j in range(k + 1))
+        assert census.total_balanced == expected
+        assert census.with_pot == expected - closed_hop_walks(k, d)
+
+
+@pytest.mark.parametrize("gaps,rest", [((1,), 4), ((3,), 2), ((2, 1, 1), 3), ((1, 4, 2), 5)])
+def test_placements_are_stars_and_bars(gaps, rest):
+    # spreading the steps over the sites and then over the gaps of each site
+    # is one way of spreading them over all gaps
+    found = list(placements(gaps, rest))
+    assert sum(ways for _, ways in found) == comb(rest + sum(gaps) - 1, sum(gaps) - 1)
+    assert len({exponents for exponents, _ in found}) == len(found)
+    assert all(sum(exponents) == rest for exponents, _ in found)
 
 
 def test_table_keys_obey_parity_and_range():
@@ -160,12 +210,16 @@ def test_truncated_coefficient_rejects_zero_index():
         truncated_coefficient(MultiIndex.zero(1), 2, 3)
 
 
-@pytest.mark.parametrize("k,L", [(1, 2), (2, 2), (3, 2), (3, 3), (4, 3)])
-def test_truncated_coefficient_matches_brute_force(k, L):
-    table = path_counts(k, 1)
+@pytest.mark.parametrize(
+    "k,L,d",
+    [pytest.param(k, L, 1, id=f"{k}-{L}") for k, L in [(1, 2), (2, 2), (3, 2), (3, 3), (4, 3)]]
+    + [pytest.param(k, L, 2, id=f"{k}-{L}-d2") for k, L in [(2, 1), (3, 1), (4, 1), (4, 2), (5, 2)]],
+)
+def test_truncated_coefficient_matches_brute_force(k, L, d):
+    table = path_counts(k, d)
     for index in table.counts:
-        for anchor in range(-L - 1, L + 2):
-            moved = shift(index, (anchor,))
+        for anchor in product(range(-L - 1, L + 2), repeat=d):
+            moved = shift(index, anchor)
             assert truncated_coefficient(moved, k, L) == brute_truncated_coefficient(
                 moved, k, L
             )
