@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 
-from andersonstats import parse_distribution, run_experiment
-from andersonstats.variance import Poly
+from andersonstats import Poly, parse_distribution, run_experiment
 
 
 def main() -> None:

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import argparse
 
-from andersonstats import parse_distribution, run_experiment, sigma_squared
-from andersonstats.variance import Poly
+from andersonstats import Poly, parse_distribution, run_experiment, sigma_squared
 
 
 def main() -> None:

@@ -15,10 +15,8 @@ from .fluctuations import (
 from .hamiltonian import (
     BoxSpec,
     SampledHamiltonian,
-    SymbolicTrace,
     mean_trace_exact,
     sample_hamiltonian,
-    symbolic_trace,
     trace_poly_numeric,
     trace_powers_numeric,
 )
@@ -34,16 +32,15 @@ from .moments import (
     sample,
     support_class,
 )
+from .poly import Poly
 from .table import TableVerification, fold_key, reference_rows, verify_reference_table
 from .variance import (
     IntegrityError,
     LimitCovariance,
-    Poly,
     classify,
     covariance_entries,
     degenerate_basis,
     limiting_covariance,
-    offset_covariance_sum,
     sigma_squared,
     sigma_squared_local_oracle,
 )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .budget import BudgetExceededError
@@ -21,7 +20,8 @@ from .hamiltonian import BoxSpec, mean_trace_exact
 from .lattice import MultiIndex, canonicalize
 from .moments import parse_distribution, support_class
 from .table import verify_reference_table
-from .variance import Poly, classify, degenerate_basis, sigma_squared
+from .poly import Poly
+from .variance import classify, degenerate_basis, sigma_squared
 from .walks import path_counts
 
 SCHEMA_VERSION = 1
@@ -134,9 +134,7 @@ def _cmd_mean_trace(args) -> int:
 def _run_simulation(args):
     p = Poly.parse(args.poly)
     model = parse_distribution(args.dist)
-    return run_experiment(
-        p, model, args.d, args.L, args.samples, args.seed, threads=args.threads
-    )
+    return run_experiment(p, model, args.d, args.L, args.samples, args.seed)
 
 
 def _cmd_simulate(args) -> int:
@@ -195,12 +193,6 @@ def _add_simulation_flags(parser):
     parser.add_argument("--L", type=int, required=True, help="box radius")
     parser.add_argument("--samples", type=int, required=True, help="sample count")
     parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads (default: machine parallelism)",
-    )
     parser.add_argument("--out", help="write samples as CSV (index,value) to this file")
 
 

@@ -22,16 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
 from .budget import check_budget
-from .lattice import MultiIndex, adjacent, l1_ball
-from .moments import MomentModel, moment_product, monomial_expectation, sample
-from .variance import Poly
-from .walks import placements, profiles, visit_classes
+from .lattice import adjacent, l1_ball
+from .moments import MomentModel, moment_product, sample
+from .poly import Poly
+from .walks import placements, visit_classes
 
 
 @dataclass(frozen=True)
@@ -193,64 +192,3 @@ def mean_trace_exact(
             key = tuple(sorted(filter(None, exponents)))
             tally[key] = tally.get(key, 0) + anchored * ways
     return sum(count * moment_product(model, e) for e, count in tally.items())
-
-
-@dataclass
-class SymbolicTrace:
-    """The trace of the k-th power as a polynomial in the site variables.
-
-    ``terms`` maps position-anchored (non-canonical) multi-indexes to their
-    integer coefficients; the variable-free part is tracked separately in
-    ``constant``.
-    """
-
-    k: int
-    box: BoxSpec
-    terms: dict[MultiIndex, int]
-    constant: int
-
-    def expected_value(self, model: MomentModel) -> Fraction:
-        total = Fraction(self.constant)
-        for index, coefficient in self.terms.items():
-            total += coefficient * monomial_expectation(model, index)
-        return total
-
-    def evaluate(self, h: SampledHamiltonian) -> float:
-        """Evaluate at a sampled potential (same box)."""
-        if h.box != self.box:
-            raise ValueError("sampled box does not match the symbolic trace box")
-        L = self.box.L
-        total = float(self.constant)
-        for index, coefficient in self.terms.items():
-            term = float(coefficient)
-            for point, exponent in index.entries:
-                term *= float(h.potential[tuple(c + L for c in point)]) ** exponent
-            total += term
-        return total
-
-
-def symbolic_trace(k: int, box: BoxSpec, budget: int | None = None) -> SymbolicTrace:
-    """Expand the trace of the k-th power over all (profile, anchor) pairs.
-
-    Small instances only: the cost is profile count times box volume. The
-    coefficient of every monomial equals the boundary-corrected coefficient
-    from :func:`andersonstats.walks.truncated_coefficient`.
-    """
-    if k < 1:
-        raise ValueError("need a power >= 1")
-    required = (2 * box.d + 1) ** k * box.volume
-    check_budget(required, budget, f"symbolic expansion of {required} anchored strings")
-    L = box.L
-    terms: dict[MultiIndex, int] = {}
-    constant = 0
-    for cls in visit_classes(k, box.d, budget):
-        ranges = [range(-L - lo, L - hi + 1) for lo, hi in zip(cls.lows, cls.highs)]
-        if cls.hops == k:
-            constant += cls.walks * prod(len(r) for r in ranges)
-            continue
-        for anchor, entries, strings in profiles(cls, k - cls.hops):
-            profile = MultiIndex(box.d, entries)
-            for move in product(*ranges):
-                index = profile.shift(tuple(a + m for a, m in zip(anchor, move)))
-                terms[index] = terms.get(index, 0) + strings
-    return SymbolicTrace(k, box, terms, constant)

@@ -178,8 +178,9 @@ def monomial_covariance(
 def sample(model: MomentModel, seed: int, count: int) -> np.ndarray:
     """``count`` iid draws, reproducible for a given seed (Philox keyed).
 
-    Derive order-independent parallel streams by XOR-ing a stream index into
-    the seed before calling.
+    Only the low 64 bits of the seed key the stream, so negative and large
+    seeds are fine. Derive order-independent streams by XOR-ing a stream
+    index into the seed before calling.
     """
     if count < 0:
         raise ValueError("count must be >= 0")

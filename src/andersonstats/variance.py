@@ -14,7 +14,7 @@ translates that overlap, the covariance of two site monomials. That
 covariance depends only on the sorted exponents of the joint monomial and
 of the two factors, so the pair loop fills two integer histograms keyed by
 those exponent tuples; the model's moments are evaluated once per key at
-the end. ``offset_covariance_sum`` keeps the direct per-pair route as an
+the end. The test suite keeps the direct per-pair, per-offset sum as an
 oracle.
 
 Everything here is pure rational arithmetic; no epsilon appears anywhere.
@@ -31,79 +31,15 @@ from .lattice import MultiIndex, Point, delta
 from .moments import (
     MomentModel,
     moment_product,
-    monomial_covariance,
     monomial_expectation,
     support_class,
 )
+from .poly import Poly
 from .walks import path_counts
 
 
 class IntegrityError(RuntimeError):
     """Two independent classification routes disagreed: an implementation bug."""
-
-
-@dataclass(frozen=True, slots=True)
-class Poly:
-    """Univariate polynomial with exact rational coefficients, low to high.
-
-    The trailing coefficient is nonzero; the zero polynomial stores no
-    coefficients. CLI grammar: comma-separated rationals low to high, e.g.
-    ``0,0,0,1`` for the cube.
-    """
-
-    coeffs: tuple[Fraction, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("trailing coefficient must be nonzero")
-
-    @classmethod
-    def from_coeffs(cls, coefficients) -> "Poly":
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def x_power(cls, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("power must be >= 0")
-        return cls(tuple([Fraction(0)] * k + [Fraction(1)]))
-
-    @classmethod
-    def parse(cls, text: str) -> "Poly":
-        return cls.from_coeffs(Fraction(part.strip()) for part in text.split(","))
-
-    def format(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return ",".join(str(c) for c in self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        size = max(len(self.coeffs), len(other.coeffs))
-        return Poly.from_coeffs(
-            self.coefficient(k) + other.coefficient(k) for k in range(size)
-        )
-
-    def __rmul__(self, scalar) -> "Poly":
-        return Poly.from_coeffs(Fraction(scalar) * c for c in self.coeffs)
-
-    def __call__(self, x: float) -> float:
-        value = 0.0
-        for c in reversed(self.coeffs):
-            value = value * x + float(c)
-        return value
 
 
 @dataclass(frozen=True)
@@ -113,21 +49,6 @@ class LimitCovariance:
     k: int
     l: int
     value: Fraction
-
-
-def offset_covariance_sum(
-    left: MultiIndex, right: MultiIndex, model: MomentModel
-) -> Fraction:
-    """Sum over all translates of ``right`` of its covariance with ``left``.
-
-    Only offsets that overlap the supports contribute (independence kills the
-    rest), so the sum is finite and evaluated exactly. The offsets are taken
-    from the Minkowski difference of the supports, not a fixed window.
-    """
-    total = Fraction(0)
-    for offset in _overlapping_offsets(left.support(), right.support()):
-        total += monomial_covariance(model, left, right, offset)
-    return total
 
 
 def _overlapping_offsets(left_sites, right_sites) -> set[Point]:
@@ -144,8 +65,9 @@ def limiting_covariance(
     """Limiting covariance of the normalized centered traces of two powers.
 
     Symmetric in the pair; the diagonal entries are the per-power limiting
-    variances. Equal to the sum of c_alpha c_beta offset_covariance_sum(alpha,
-    beta) over the classes of the two path-count tables; each covariance is
+    variances. Equal to the sum, over the classes alpha and beta of the two
+    path-count tables, of c_alpha c_beta times the covariance of x^alpha with
+    every overlapping translate x^beta_delta. Each covariance is
     E[x^(alpha + beta_delta)] - E[x^alpha] E[x^beta], so the integer weights
     are tallied per sorted exponent tuple of the joint monomial and per pair
     of exponent tuples, and moments enter once per tuple at the end.

@@ -2,9 +2,10 @@
 
 The oracles here share no code with the library's walk enumeration: step
 strings are their own types defined below, enumerated with itertools and
-checked one at a time; traces come from dense eigendecompositions, and
-expected traces from a literal (string, anchor) double loop. They are slow
-and only meant for small instances.
+checked one at a time; traces come from dense eigendecompositions;
+expected traces and the symbolic expansion of Tr H^k come from a literal
+(string, anchor) double loop; offset covariance sums visit every overlapping
+translate one at a time. They are slow and only meant for small instances.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from andersonstats import (
     MomentModel,
     MultiIndex,
     Point,
+    Poly,
     SampledHamiltonian,
     canonicalize,
+    monomial_covariance,
     monomial_expectation,
 )
-from andersonstats.variance import Poly
 
 _POT = "pot"
 _UP = "up"
@@ -143,23 +145,29 @@ def _stays_inside(points, anchor, L: int) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
-def brute_truncated_table(k: int, d: int, L: int) -> dict[MultiIndex, int]:
-    """Anchored profile -> number of (balanced string, anchor) pairs whose
-    anchored walk stays inside the box of radius L (anchors outside the box
-    never qualify, since the walk starts at its anchor)."""
-    table: dict[MultiIndex, int] = {}
+def _anchored_profiles(k: int, d: int, L: int):
+    """(profile, anchor) for every balanced string of length k and every
+    anchor whose anchored walk stays inside the box of radius L (anchors
+    outside the box never qualify, since the walk starts at its anchor)."""
     for s in all_strings(k, d):
         if not is_balanced(s):
             continue
         profile = potential_profile(s)
-        if profile.is_zero:
-            continue
         points = trajectory(s)
         for anchor in product(range(-L, L + 1), repeat=d):
             if _stays_inside(points, anchor, L):
-                index = profile.shift(anchor)
-                table[index] = table.get(index, 0) + 1
+                yield profile, anchor
+
+
+@lru_cache(maxsize=None)
+def brute_truncated_table(k: int, d: int, L: int) -> dict[MultiIndex, int]:
+    """Anchored profile -> number of (balanced string, anchor) pairs whose
+    anchored walk stays inside the box of radius L."""
+    table: dict[MultiIndex, int] = {}
+    for profile, anchor in _anchored_profiles(k, d, L):
+        if not profile.is_zero:
+            index = profile.shift(anchor)
+            table[index] = table.get(index, 0) + 1
     return table
 
 
@@ -168,17 +176,77 @@ def brute_truncated_coefficient(index: MultiIndex, k: int, L: int) -> int:
 
 
 def brute_mean_trace(k: int, box: BoxSpec, model: MomentModel) -> Fraction:
-    total = Fraction(0)
-    L = box.L
-    for s in all_strings(k, box.d):
-        if not is_balanced(s):
-            continue
-        profile = potential_profile(s)
-        points = trajectory(s)
-        for anchor in product(range(-L, L + 1), repeat=box.d):
-            if _stays_inside(points, anchor, L):
-                total += monomial_expectation(model, profile.shift(anchor))
-    return total
+    return sum(
+        (
+            monomial_expectation(model, profile.shift(anchor))
+            for profile, anchor in _anchored_profiles(k, box.d, box.L)
+        ),
+        Fraction(0),
+    )
+
+
+@dataclass
+class SymbolicTrace:
+    """The trace of the k-th power as a polynomial in the site variables.
+
+    ``terms`` maps position-anchored (non-canonical) multi-indexes to their
+    integer coefficients; the variable-free part is tracked separately in
+    ``constant``.
+    """
+
+    k: int
+    box: BoxSpec
+    terms: dict[MultiIndex, int]
+    constant: int
+
+    def expected_value(self, model: MomentModel) -> Fraction:
+        total = Fraction(self.constant)
+        for index, coefficient in self.terms.items():
+            total += coefficient * monomial_expectation(model, index)
+        return total
+
+    def evaluate(self, h: SampledHamiltonian) -> float:
+        """Evaluate at a sampled potential (same box)."""
+        if h.box != self.box:
+            raise ValueError("sampled box does not match the symbolic trace box")
+        L = self.box.L
+        total = float(self.constant)
+        for index, coefficient in self.terms.items():
+            term = float(coefficient)
+            for point, exponent in index.entries:
+                term *= float(h.potential[tuple(c + L for c in point)]) ** exponent
+            total += term
+        return total
+
+
+def symbolic_trace(k: int, box: BoxSpec) -> SymbolicTrace:
+    """Expand the trace of the k-th power over all (string, anchor) pairs:
+    the monomials are the anchored profiles of ``brute_truncated_table``, and
+    the constant counts the all-hop balanced strings anchored in the box."""
+    constant = sum(
+        1 for profile, _ in _anchored_profiles(k, box.d, box.L) if profile.is_zero
+    )
+    return SymbolicTrace(k, box, dict(brute_truncated_table(k, box.d, box.L)), constant)
+
+
+def offset_covariance_sum(
+    left: MultiIndex, right: MultiIndex, model: MomentModel
+) -> Fraction:
+    """Sum over all translates of ``right`` of its covariance with ``left``.
+
+    Only translates whose support meets the left support contribute
+    (independence kills the rest); they are the differences of a left and a
+    right support point, each visited once.
+    """
+    offsets = {
+        tuple(p - q for p, q in zip(a, b))
+        for a in left.support()
+        for b in right.support()
+    }
+    return sum(
+        (monomial_covariance(model, left, right, offset) for offset in offsets),
+        Fraction(0),
+    )
 
 
 def dense_matrix(h: SampledHamiltonian) -> np.ndarray:

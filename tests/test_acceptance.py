@@ -13,6 +13,7 @@ from random import Random
 from andersonstats import (
     BoxSpec,
     MomentModel,
+    Poly,
     degenerate_basis,
     mean_trace_exact,
     path_counts,
@@ -20,13 +21,11 @@ from andersonstats import (
     shift,
     sigma_squared,
     sigma_squared_local_oracle,
-    symbolic_trace,
     truncated_coefficient,
     verify_reference_table,
 )
-from andersonstats.variance import Poly
 
-from helpers import random_discrete_model, random_poly
+from helpers import random_discrete_model, random_poly, symbolic_trace
 
 UNIFORM = MomentModel.uniform_symmetric(1)
 GAUSSIAN = MomentModel.gaussian(1)

@@ -12,6 +12,7 @@ import pytest
 import andersonstats
 from andersonstats import (
     MomentModel,
+    Poly,
     degenerate_basis,
     mean_trace_exact,
     path_counts,
@@ -21,7 +22,6 @@ from andersonstats import (
     BoxSpec,
 )
 from andersonstats.cli import main
-from andersonstats.variance import Poly
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +130,23 @@ def test_simulate_requires_dist(capsys):
     assert code == 2 and out is None
     assert err["error"]["type"] == "usage"
     assert "--dist" in err["error"]["message"]
+
+
+def test_threads_flag_is_usage_error(capsys):
+    # samples are drawn serially; there is no thread count to choose
+    code, out, err = run_cli(
+        capsys,
+        "simulate",
+        "--poly", "0,0,1",
+        "--dist", "uniform:1",
+        "--d", "1",
+        "--L", "5",
+        "--samples", "50",
+        "--threads", "2",
+    )
+    assert code == 2 and out is None
+    assert err["error"]["type"] == "usage"
+    assert "--threads" in err["error"]["message"]
 
 
 def test_malformed_poly_is_usage_error(capsys):

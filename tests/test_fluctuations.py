@@ -10,6 +10,7 @@ import scipy.stats
 from andersonstats import (
     BoxSpec,
     MomentModel,
+    Poly,
     degenerate_basis,
     ks_test,
     moment_diagnostics,
@@ -17,7 +18,6 @@ from andersonstats import (
     sample_hamiltonian,
     sigma_squared,
 )
-from andersonstats.variance import Poly
 
 UNIFORM = MomentModel.uniform_symmetric(1)
 GAUSSIAN = MomentModel.gaussian(1)

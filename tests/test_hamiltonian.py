@@ -11,20 +11,25 @@ from andersonstats import (
     BoxSpec,
     BudgetExceededError,
     MomentModel,
+    Poly,
     delta,
     mean_trace_exact,
     path_counts,
     sample_hamiltonian,
-    symbolic_trace,
     trace_poly_numeric,
     trace_powers_numeric,
     truncated_coefficient,
     balanced_census,
     monomial_expectation,
 )
-from andersonstats.variance import Poly
 
-from helpers import brute_mean_trace, dense_matrix, dense_trace_poly, random_poly
+from helpers import (
+    brute_mean_trace,
+    dense_matrix,
+    dense_trace_poly,
+    random_poly,
+    symbolic_trace,
+)
 
 UNIFORM = MomentModel.uniform_symmetric(1)
 GAUSSIAN = MomentModel.gaussian(1)
@@ -223,11 +228,6 @@ def test_symbolic_trace_interior_coefficients():
     st = symbolic_trace(3, BoxSpec(1, 5))
     assert st.terms[delta(1, (0,), 3)] == 1
     assert st.terms[delta(1, (0,))] == 6  # interior site: full class count
-
-
-def test_symbolic_trace_budget():
-    with pytest.raises(BudgetExceededError):
-        symbolic_trace(4, BoxSpec(1, 3), budget=10)
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])

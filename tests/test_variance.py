@@ -9,21 +9,20 @@ from andersonstats import (
     BudgetExceededError,
     MomentModel,
     MultiIndex,
+    Poly,
     classify,
     covariance_entries,
     degenerate_basis,
     delta,
     limiting_covariance,
     moment,
-    offset_covariance_sum,
     path_counts,
     sigma_squared,
     sigma_squared_local_oracle,
     support_class,
 )
-from andersonstats.variance import Poly
 
-from helpers import random_discrete_model, random_poly
+from helpers import offset_covariance_sum, random_discrete_model, random_poly
 
 UNIFORM = MomentModel.uniform_symmetric(1)
 GAUSSIAN = MomentModel.gaussian(1)
