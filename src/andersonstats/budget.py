@@ -31,7 +31,12 @@ def resolve_budget(override: int | None = None) -> int:
         return int(override)
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is not None:
-        return int(raw)
+        try:
+            return int(raw)
+        except ValueError:
+            raise ValueError(
+                f"{BUDGET_ENV_VAR} must be a decimal integer, got {raw!r}"
+            ) from None
     return DEFAULT_BUDGET
 
 

@@ -15,6 +15,10 @@ point mass. For a two-point law the degenerate quadratic is constant on the
 support, so its trace is deterministic and the empirical variance is exactly
 0 at every box radius; the degenerate cubics and quintic show a normalized
 empirical variance that decays with the radius.
+
+numpy and scipy are imported only inside the functions that sample and test
+(:func:`run_experiment`, :func:`ks_test`, :func:`moment_diagnostics`), so
+importing this module, as the CLI does for every command, loads neither.
 """
 
 from __future__ import annotations
@@ -22,14 +26,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .hamiltonian import BoxSpec, mean_trace_exact, sample_hamiltonian, trace_poly_numeric
 from .moments import MomentModel, format_distribution
 from .poly import Poly
 from .variance import sigma_squared
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class KsResult(NamedTuple):
@@ -103,7 +108,9 @@ def ks_test(samples: Sequence[float], sigma2: float) -> KsResult:
     sqrt(n) times the statistic. Needs at least 50 samples and a positive
     variance.
     """
-    # imported here so that exact commands, which never test, skip scipy
+    # imported here, not at module level, so that the exact commands, which
+    # never sample or test, load neither numpy nor scipy
+    import numpy as np
     from scipy.special import kolmogorov, ndtr
 
     data = np.sort(np.asarray(samples, dtype=float))
@@ -125,6 +132,8 @@ def moment_diagnostics(samples: Sequence[float]) -> MomentDiagnostics:
     Zero-variance samples are flagged degenerate and report zero by
     convention.
     """
+    import numpy as np
+
     data = np.asarray(samples, dtype=float)
     n = len(data)
     if n < 50:
@@ -157,6 +166,8 @@ def run_experiment(
     faster than a thread pool in every case tried. ``threads`` is accepted
     and ignored, for callers that still pass it (``perfbench/run.py``).
     """
+    import numpy as np
+
     if n_samples < 1:
         raise ValueError("need at least one sample")
     box = BoxSpec(d, L)

@@ -15,7 +15,8 @@ exponents. These integer counts are tallied per exponent tuple, and moments
 enter once per tuple at the end.
 
 Floats are used only for sampled quantities; expectations stay rational and
-the two never mix silently.
+the two never mix silently. numpy is imported only inside
+:func:`trace_powers_numeric`, so the exact expectation loads without it.
 """
 
 from __future__ import annotations
@@ -23,14 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .budget import check_budget
 from .lattice import adjacent, l1_ball
 from .moments import MomentModel, moment_product, sample
 from .poly import Poly
 from .walks import placements, visit_classes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,8 @@ def trace_powers_numeric(
     and Tr H^(2j) = sum_delta <psi_j[delta], psi_j[delta]>: half powers up to
     r = ceil(max_power / 2) suffice, with two generations live at once.
     """
+    import numpy as np
+
     if max_power < 1:
         raise ValueError("need a power >= 1")
     box = h.box

@@ -11,7 +11,8 @@ Sampling uses numpy's Philox counter-based 64-bit generator keyed by the
 seed, so draws are reproducible and independent streams can be derived by
 XOR-ing a stream index into the seed. Discrete sampling inverts the CDF of
 the cumulative weights; uniform and gaussian use the generator's native
-transforms.
+transforms. numpy is imported only inside :func:`sample`, so the exact
+moment algebra loads without it.
 
 CLI grammar: ``discrete:v1@w1,v2@w2,...`` | ``uniform:w`` | ``gaussian:v``
 with rationals written as ``p/q`` or integers. Mean zero is checked exactly
@@ -24,11 +25,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .lattice import MultiIndex, Point
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -182,6 +184,8 @@ def sample(model: MomentModel, seed: int, count: int) -> np.ndarray:
     seeds are fine. Derive order-independent streams by XOR-ing a stream
     index into the seed before calling.
     """
+    import numpy as np
+
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))

@@ -164,6 +164,15 @@ def test_budget_env_var_gives_resource_exit(capsys, monkeypatch):
     assert "243" in err["error"]["message"]
 
 
+def test_malformed_budget_env_var_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("ANDERSON_BUDGET", "abc")
+    code, out, err = run_cli(capsys, "pathcount", "--k", "3", "--d", "1")
+    assert code == 2 and out is None
+    assert err["error"]["type"] == "usage"
+    assert "ANDERSON_BUDGET" in err["error"]["message"]
+    assert "'abc'" in err["error"]["message"]
+
+
 def test_report_command_bundles_everything(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -232,3 +241,33 @@ def test_importing_the_cli_does_not_import_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+EXACT_COMMANDS = [
+    ["pathcount", "--k", "4", "--d", "2"],
+    ["verify-table", "--d", "1"],
+    ["variance", "--poly", "0,0,0,1", "--dist", "uniform:1", "--d", "1"],
+    ["classify", "--poly", "0,-7,0,1", "--dist", "discrete:1@1/2,-1@1/2", "--d", "1"],
+    ["degenerate", "--dist", "discrete:1@1/2,-1@1/2", "--d", "1"],
+    ["mean-trace", "--k", "4", "--d", "2", "--L", "2", "--dist", "uniform:1"],
+]
+
+
+def test_exact_commands_load_neither_numpy_nor_scipy():
+    # the exact layer is integer and Fraction code; a fresh interpreter that
+    # runs every exact command must never import the sampling libraries
+    probe = (
+        "import contextlib, io, sys, andersonstats, andersonstats.cli\n"
+        f"for argv in {EXACT_COMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert andersonstats.cli.main(argv) == 0, argv\n"
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+    )
+    source = str(Path(andersonstats.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
