@@ -20,7 +20,7 @@ from .hamiltonian import (
     trace_poly_numeric,
     trace_powers_numeric,
 )
-from .lattice import MultiIndex, Point, canonicalize, delta, shift
+from .lattice import MultiIndex, Point, canonicalize, delta
 from .moments import (
     MomentModel,
     SupportClass,

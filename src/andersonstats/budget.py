@@ -1,7 +1,8 @@
 """Resource budgets guarding exhaustive enumeration and large allocations.
 
-The default cap can be overridden by the ``ANDERSON_BUDGET`` environment
-variable (a decimal integer), or per call by passing an explicit budget.
+The cap is read from the ``ANDERSON_BUDGET`` environment variable (a
+positive decimal integer, default 10^9) on every check; it is the only
+budget setting. A value that is not a positive integer is a usage error.
 """
 
 from __future__ import annotations
@@ -18,29 +19,30 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, required: int, budget: int, what: str) -> None:
         super().__init__(
             f"{what} requires {required} units but the budget is {budget}; "
-            f"set {BUDGET_ENV_VAR} or pass a larger budget to proceed"
+            f"set {BUDGET_ENV_VAR} to a larger value to proceed"
         )
         self.required = required
         self.budget = budget
         self.what = what
 
 
-def resolve_budget(override: int | None = None) -> int:
-    """Effective budget: explicit override, else environment, else default."""
-    if override is not None:
-        return int(override)
+def resolve_budget() -> int:
+    """Effective budget: the environment variable, else the default."""
     raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{BUDGET_ENV_VAR} must be a decimal integer, got {raw!r}"
-            ) from None
-    return DEFAULT_BUDGET
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0  # rejected below, like any other non-positive value
+    if budget < 1:
+        raise ValueError(
+            f"{BUDGET_ENV_VAR} must be a positive decimal integer, got {raw!r}"
+        )
+    return budget
 
 
-def check_budget(required: int, override: int | None, what: str) -> None:
-    budget = resolve_budget(override)
+def check_budget(required: int, what: str) -> None:
+    budget = resolve_budget()
     if required > budget:
         raise BudgetExceededError(required, budget, what)

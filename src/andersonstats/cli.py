@@ -4,8 +4,9 @@ Commands are thin adapters over the library; no numeric logic lives here.
 All JSON payloads carry ``schema_version`` and serialize rationals as
 strings like ``"4/45"``. Exit codes: 0 success, 1 verification mismatch,
 2 usage error, 3 resource budget exceeded. Errors are emitted as JSON on
-stderr. The ``ANDERSON_BUDGET`` environment variable (decimal integer)
-overrides the enumeration and memory budgets.
+stderr. The ``ANDERSON_BUDGET`` environment variable (a positive decimal
+integer, default 10^9) is the only setting of the enumeration and memory
+budgets; any other value is a usage error.
 """
 
 from __future__ import annotations

@@ -55,7 +55,9 @@ class FluctuationReport:
     """Samples of the normalized centered trace statistic plus test results.
 
     ``ks_statistic``/``ks_pvalue`` are None when the predicted variance is
-    zero (degenerate limit).
+    zero (degenerate limit). Statistics that were not computed are None:
+    ``empirical_var`` below 2 samples, and ``skewness``/``excess_kurtosis``
+    and the KS fields below 50.
     """
 
     poly: Poly
@@ -67,9 +69,9 @@ class FluctuationReport:
     samples: np.ndarray
     predicted_sigma2: Fraction
     empirical_mean: float
-    empirical_var: float
-    skewness: float
-    excess_kurtosis: float
+    empirical_var: float | None
+    skewness: float | None
+    excess_kurtosis: float | None
     ks_statistic: float | None
     ks_pvalue: float | None
 
@@ -157,7 +159,6 @@ def run_experiment(
     n_samples: int,
     seed: int,
     threads: int = 1,
-    budget: int | None = None,
 ) -> FluctuationReport:
     """Draw normalized centered trace samples and test them.
 
@@ -171,19 +172,19 @@ def run_experiment(
     if n_samples < 1:
         raise ValueError("need at least one sample")
     box = BoxSpec(d, L)
-    predicted = sigma_squared(p, model, d, budget)
+    predicted = sigma_squared(p, model, d)
 
     exact_mean = p.coefficient(0) * box.volume
     for k in range(1, p.degree + 1):
         if p.coefficient(k) != 0:
-            exact_mean += p.coefficient(k) * mean_trace_exact(k, box, model, budget)
+            exact_mean += p.coefficient(k) * mean_trace_exact(k, box, model)
     center = float(exact_mean)
     norm = math.sqrt(box.volume)
 
     samples = np.empty(n_samples)
     for s in range(n_samples):
-        h = sample_hamiltonian(box, model, seed ^ s, budget)
-        samples[s] = (trace_poly_numeric(h, p, budget) - center) / norm
+        h = sample_hamiltonian(box, model, seed ^ s)
+        samples[s] = (trace_poly_numeric(h, p) - center) / norm
 
     diagnostics = moment_diagnostics(samples) if n_samples >= 50 else None
     ks: KsResult | None = None
@@ -200,9 +201,9 @@ def run_experiment(
         samples=samples,
         predicted_sigma2=predicted,
         empirical_mean=float(samples.mean()),
-        empirical_var=float(samples.var(ddof=1)) if n_samples > 1 else 0.0,
-        skewness=diagnostics.skewness if diagnostics else 0.0,
-        excess_kurtosis=diagnostics.excess_kurtosis if diagnostics else 0.0,
+        empirical_var=float(samples.var(ddof=1)) if n_samples > 1 else None,
+        skewness=diagnostics.skewness if diagnostics else None,
+        excess_kurtosis=diagnostics.excess_kurtosis if diagnostics else None,
         ks_statistic=ks.statistic if ks else None,
         ks_pvalue=ks.pvalue if ks else None,
     )

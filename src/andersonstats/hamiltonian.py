@@ -77,11 +77,9 @@ class SampledHamiltonian:
             )
 
 
-def sample_hamiltonian(
-    box: BoxSpec, model: MomentModel, seed: int, budget: int | None = None
-) -> SampledHamiltonian:
+def sample_hamiltonian(box: BoxSpec, model: MomentModel, seed: int) -> SampledHamiltonian:
     """Draw the iid potential for one realization, deterministic per seed."""
-    check_budget(box.volume, budget, f"potential of volume {box.volume}")
+    check_budget(box.volume, f"potential of volume {box.volume}")
     draws = sample(model, seed, box.volume)
     return SampledHamiltonian(box, draws.reshape((box.n_side,) * box.d))
 
@@ -92,9 +90,7 @@ def _l1_ball_size(d: int, r: int) -> int:
     return sum(2**k * comb(d, k) * comb(r, k) for k in range(min(d, r) + 1))
 
 
-def trace_powers_numeric(
-    h: SampledHamiltonian, max_power: int, budget: int | None = None
-) -> list[float]:
+def trace_powers_numeric(h: SampledHamiltonian, max_power: int) -> list[float]:
     """Traces of the operator powers 1..max_power from half powers.
 
     psi_j[delta](x) = (H^j)_{x+delta, x} for all sites x at once, one
@@ -116,9 +112,7 @@ def trace_powers_numeric(
     box = h.box
     d, n = box.d, box.n_side
     r = (max_power + 1) // 2
-    check_budget(
-        2 * box.volume * _l1_ball_size(d, r), budget, "trace half-power cells"
-    )
+    check_budget(2 * box.volume * _l1_ball_size(d, r), "trace half-power cells")
     ball = l1_ball(d, r)
     position = {delta: i for i, delta in enumerate(ball)}
 
@@ -156,13 +150,11 @@ def trace_powers_numeric(
     return traces[:max_power]
 
 
-def trace_poly_numeric(
-    h: SampledHamiltonian, p: Poly, budget: int | None = None
-) -> float:
+def trace_poly_numeric(h: SampledHamiltonian, p: Poly) -> float:
     """Trace of p applied to the sampled operator (constant term included)."""
     if p.degree < 1:
         raise ValueError("need a non-constant polynomial")
-    traces = trace_powers_numeric(h, p.degree, budget)
+    traces = trace_powers_numeric(h, p.degree)
     result = float(p.coefficient(0)) * h.box.volume
     for k in range(1, p.degree + 1):
         coefficient = p.coefficient(k)
@@ -171,9 +163,7 @@ def trace_poly_numeric(
     return result
 
 
-def mean_trace_exact(
-    k: int, box: BoxSpec, model: MomentModel, budget: int | None = None
-) -> Fraction:
+def mean_trace_exact(k: int, box: BoxSpec, model: MomentModel) -> Fraction:
     """Exact expectation of the trace of the k-th power over the box.
 
     Per visit class, the number of admissible anchors factorizes over axes
@@ -184,10 +174,9 @@ def mean_trace_exact(
     """
     if k < 1:
         raise ValueError("need a power >= 1")
-    model.require_order(k)
     side = box.n_side
     tally: dict[tuple[int, ...], int] = {}
-    for cls in visit_classes(k, box.d, budget):
+    for cls in visit_classes(k, box.d):
         anchored = cls.walks
         for lo, hi in zip(cls.lows, cls.highs):
             anchored *= max(0, side - (hi - lo))

@@ -145,11 +145,6 @@ def delta(d: int, site: Point, exponent: int = 1) -> MultiIndex:
     return MultiIndex(d, ((tuple(site), exponent),))
 
 
-def shift(index: MultiIndex, i: Point) -> MultiIndex:
-    """Translate ``index`` by +i; the inverse of shifting by -i."""
-    return index.shift(i)
-
-
 def canonicalize(index: MultiIndex) -> tuple[MultiIndex, Point]:
     """Canonical representative of the translation class of ``index``.
 

@@ -51,21 +51,15 @@ def _as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class MomentModel:
-    """A mean-zero site distribution with exact rational moments.
-
-    ``max_order`` caps the moment order the model promises; ``None`` means
-    unlimited (all three families have closed-form moments of every order).
-    """
+    """A mean-zero site distribution with exact rational moments of every
+    order (all three families have closed forms)."""
 
     kind: str
     atoms: tuple[tuple[Fraction, Fraction], ...] = ()
     half_width: Fraction | None = None
     variance: Fraction | None = None
-    max_order: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_order is not None and self.max_order < 0:
-            raise ValueError("max_order must be >= 0")
         if self.kind == DISCRETE:
             if len(self.atoms) < 1:
                 raise ValueError("discrete model needs at least one atom")
@@ -89,25 +83,19 @@ class MomentModel:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
     @classmethod
-    def discrete(cls, atoms: Sequence[tuple], max_order: int | None = None) -> "MomentModel":
+    def discrete(cls, atoms: Sequence[tuple]) -> "MomentModel":
         normalized = tuple(
             sorted((_as_fraction(v), _as_fraction(w)) for v, w in atoms)
         )
-        return cls(DISCRETE, atoms=normalized, max_order=max_order)
+        return cls(DISCRETE, atoms=normalized)
 
     @classmethod
-    def uniform_symmetric(cls, half_width, max_order: int | None = None) -> "MomentModel":
-        return cls(UNIFORM, half_width=_as_fraction(half_width), max_order=max_order)
+    def uniform_symmetric(cls, half_width) -> "MomentModel":
+        return cls(UNIFORM, half_width=_as_fraction(half_width))
 
     @classmethod
-    def gaussian(cls, variance, max_order: int | None = None) -> "MomentModel":
-        return cls(GAUSSIAN, variance=_as_fraction(variance), max_order=max_order)
-
-    def require_order(self, order: int) -> None:
-        if self.max_order is not None and order > self.max_order:
-            raise ValueError(
-                f"moment of order {order} requested but the model caps at {self.max_order}"
-            )
+    def gaussian(cls, variance) -> "MomentModel":
+        return cls(GAUSSIAN, variance=_as_fraction(variance))
 
 
 @dataclass(frozen=True)
@@ -133,7 +121,6 @@ def moment(model: MomentModel, order: int) -> Fraction:
     """Exact moment of the given order; order 0 is 1."""
     if order < 0:
         raise ValueError("moment order must be >= 0")
-    model.require_order(order)
     if order == 0:
         return Fraction(1)
     if model.kind == DISCRETE:

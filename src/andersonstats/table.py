@@ -105,7 +105,7 @@ class TableVerification:
         return {"d": self.d, "match": self.match, "rows": self.rows, "diffs": self.diffs}
 
 
-def verify_reference_table(d: int, budget: int | None = None) -> TableVerification:
+def verify_reference_table(d: int) -> TableVerification:
     """Recompute every class for k = 1..5 and compare with the reference.
 
     Checks each folded group's common count and multiplicity, rejects groups
@@ -118,7 +118,7 @@ def verify_reference_table(d: int, budget: int | None = None) -> TableVerificati
 
     result = TableVerification(d, True)
     for k in range(1, MAX_TABLE_POWER + 1):
-        table = path_counts(k, d, budget)
+        table = path_counts(k, d)
         groups: dict[tuple, dict] = {}
         for index, count in table.counts.items():
             group = groups.setdefault(fold_key(index), {"counts": set(), "classes": 0})

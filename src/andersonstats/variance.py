@@ -59,9 +59,7 @@ def _overlapping_offsets(left_sites, right_sites) -> set[Point]:
 _COVARIANCE_CACHE: dict[tuple[tuple[int, int], MomentModel, int], Fraction] = {}
 
 
-def limiting_covariance(
-    powers: tuple[int, int], model: MomentModel, d: int, budget: int | None = None
-) -> Fraction:
+def limiting_covariance(powers: tuple[int, int], model: MomentModel, d: int) -> Fraction:
     """Limiting covariance of the normalized centered traces of two powers.
 
     Symmetric in the pair; the diagonal entries are the per-power limiting
@@ -76,9 +74,8 @@ def limiting_covariance(
     k, l = powers
     if k < 1 or l < 1:
         raise ValueError("powers must be >= 1")
-    model.require_order(k + l)
-    left_table = path_counts(k, d, budget)
-    right_table = path_counts(l, d, budget)
+    left_table = path_counts(k, d)
+    right_table = path_counts(l, d)
     key = ((min(k, l), max(k, l)), model, d)
     cached = _COVARIANCE_CACHE.get(key)
     if cached is not None:
@@ -112,22 +109,16 @@ def limiting_covariance(
     return total
 
 
-def covariance_entries(
-    max_power: int, model: MomentModel, d: int, budget: int | None = None
-) -> list[LimitCovariance]:
+def covariance_entries(max_power: int, model: MomentModel, d: int) -> list[LimitCovariance]:
     """All limiting covariance entries for powers up to ``max_power``."""
     entries = []
     for k in range(1, max_power + 1):
         for l in range(k, max_power + 1):
-            entries.append(
-                LimitCovariance(k, l, limiting_covariance((k, l), model, d, budget))
-            )
+            entries.append(LimitCovariance(k, l, limiting_covariance((k, l), model, d)))
     return entries
 
 
-def sigma_squared(
-    p: Poly, model: MomentModel, d: int, budget: int | None = None
-) -> Fraction:
+def sigma_squared(p: Poly, model: MomentModel, d: int) -> Fraction:
     """Exact limiting variance of the normalized centered trace of p.
 
     Nonnegative, independent of the constant coefficient, and quadratic in
@@ -136,7 +127,6 @@ def sigma_squared(
     m = p.degree
     if m < 1:
         raise ValueError("limiting variance needs a non-constant polynomial")
-    model.require_order(2 * m)
     total = Fraction(0)
     for k in range(1, m + 1):
         a_k = p.coefficient(k)
@@ -146,7 +136,7 @@ def sigma_squared(
             a_l = p.coefficient(l)
             if a_l == 0:
                 continue
-            value = limiting_covariance((k, l), model, d, budget)
+            value = limiting_covariance((k, l), model, d)
             total += a_k * a_l * value if k == l else 2 * a_k * a_l * value
     return total
 
@@ -239,9 +229,7 @@ def _in_span(target: list[Fraction], basis: list[list[Fraction]]) -> bool:
     )
 
 
-def classify(
-    p: Poly, model: MomentModel, d: int, budget: int | None = None
-) -> str:
+def classify(p: Poly, model: MomentModel, d: int) -> str:
     """'degenerate' iff the limiting variance is exactly zero.
 
     Cross-checked against exact span membership in the degenerate basis plus
@@ -250,7 +238,7 @@ def classify(
     """
     if p.degree < 1:
         raise ValueError("classification needs a non-constant polynomial")
-    by_value = sigma_squared(p, model, d, budget) == 0
+    by_value = sigma_squared(p, model, d) == 0
 
     basis_polys = [Poly.from_coeffs([1])] + degenerate_basis(model, d)
     size = max([p.degree] + [q.degree for q in basis_polys]) + 1
@@ -340,7 +328,6 @@ def sigma_squared_local_oracle(p: Poly, model: MomentModel, d: int) -> Fraction:
     m = p.degree
     if not 1 <= m <= 5:
         raise ValueError("the local oracle handles degrees 1..5 only")
-    model.require_order(2 * m)
 
     combined: dict[MultiIndex, Fraction] = {}
     for k in range(1, m + 1):

@@ -50,10 +50,10 @@ class VisitClass(NamedTuple):
     highs: Point
 
 
-def _check_strings(k: int, d: int, budget: int | None) -> None:
+def _check_strings(k: int, d: int) -> None:
     if k < 1 or d < 1:
         raise ValueError("need k >= 1 and d >= 1")
-    check_budget((2 * d + 1) ** k, budget, f"enumerating ({2 * d + 1})^{k} strings")
+    check_budget((2 * d + 1) ** k, f"enumerating ({2 * d + 1})^{k} strings")
 
 
 def _closed_walks(max_hops: int, d: int) -> tuple[list, int, list[dict[int, int]]]:
@@ -116,15 +116,13 @@ def _classes(max_hops: int, d: int) -> Iterator[VisitClass]:
             yield VisitClass(sum(gaps) - 1, sites, gaps, walks, lows, highs)
 
 
-def visit_classes(
-    k: int, d: int, budget: int | None = None, max_hops: int | None = None
-) -> Iterator[VisitClass]:
+def visit_classes(k: int, d: int, max_hops: int | None = None) -> Iterator[VisitClass]:
     """Visit classes behind the balanced strings of length k in dimension d,
     with at most ``max_hops`` hops (default k).
 
     The budget is checked on every call, against the string count.
     """
-    _check_strings(k, d, budget)
+    _check_strings(k, d)
     hops = k if max_hops is None else min(k, max_hops)
     if hops < 0:
         return iter(())
@@ -201,20 +199,20 @@ class PathCountTable:
 _TABLE_CACHE: dict[tuple[int, int], PathCountTable] = {}
 
 
-def path_counts(k: int, d: int, budget: int | None = None) -> PathCountTable:
+def path_counts(k: int, d: int) -> PathCountTable:
     """Tally balanced strings of length k by canonical profile class.
 
     Counts are invariant under translating the profile, so the table is
     indexed by canonical representatives. Memoized per (k, d); the budget is
     still checked on every call so resource errors are deterministic.
     """
-    _check_strings(k, d, budget)
+    _check_strings(k, d)
     cached = _TABLE_CACHE.get((k, d))
     if cached is not None:
         return cached
 
     tally: dict[tuple[tuple[Point, int], ...], int] = {}
-    for cls in visit_classes(k, d, budget, max_hops=k - 1):
+    for cls in visit_classes(k, d, max_hops=k - 1):
         for _, key, strings in profiles(cls, k - cls.hops):
             tally[key] = tally.get(key, 0) + strings
     table = PathCountTable(k, d, {MultiIndex(d, key): n for key, n in tally.items()})
@@ -222,9 +220,7 @@ def path_counts(k: int, d: int, budget: int | None = None) -> PathCountTable:
     return table
 
 
-def truncated_coefficient(
-    index: MultiIndex, k: int, L: int, budget: int | None = None
-) -> int:
+def truncated_coefficient(index: MultiIndex, k: int, L: int) -> int:
     """Coefficient of the monomial of ``index`` in the trace of the k-th
     power over the box of radius L.
 
@@ -240,7 +236,7 @@ def truncated_coefficient(
         raise ValueError(f"box radius must be >= 1, got {L}")
     target, _ = canonicalize(index)
     found = 0
-    for cls in visit_classes(k, index.d, budget, max_hops=k - target.total_exponent()):
+    for cls in visit_classes(k, index.d, max_hops=k - target.total_exponent()):
         for anchor, key, strings in profiles(cls, k - cls.hops):
             if key != target.entries:
                 continue
@@ -259,14 +255,14 @@ class Census(NamedTuple):
     with_pot: int
 
 
-def balanced_census(k: int, d: int, budget: int | None = None) -> Census:
+def balanced_census(k: int, d: int) -> Census:
     """Count balanced strings of length k, and those with >= 1 potential step.
 
     A closed hop walk of j hops takes its k - j potential steps in C(k, j)
     ways. The second count equals the sum of all entries of
     ``path_counts(k, d)``.
     """
-    _check_strings(k, d, budget)
+    _check_strings(k, d)
     _, _, tallies = _closed_walks(k - k % 2, d)
     strings = [comb(k, j) * sum(tally.values()) for j, tally in enumerate(tallies)]
     return Census(sum(strings), sum(strings[:k]))

@@ -18,7 +18,6 @@ from andersonstats import (
     mean_trace_exact,
     path_counts,
     run_experiment,
-    shift,
     sigma_squared,
     sigma_squared_local_oracle,
     truncated_coefficient,
@@ -99,7 +98,7 @@ def test_criterion_4_symbolic_trace_oracle():
                 # every anchored class in a window wider than the box
                 for index in table.counts:
                     for anchor in range(-L - k - 1, L + k + 2):
-                        moved = shift(index, (anchor,))
+                        moved = index.shift((anchor,))
                         coefficient = expansion.terms.get(moved, 0)
                         assert coefficient == truncated_coefficient(moved, k, L)
                         support = moved.support()

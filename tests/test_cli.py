@@ -156,21 +156,34 @@ def test_malformed_poly_is_usage_error(capsys):
     assert code == 2 and err["error"]["type"] == "usage"
 
 
-def test_budget_env_var_gives_resource_exit(capsys, monkeypatch):
+# each command's first enumeration beyond a budget of 10 and its string count
+@pytest.mark.parametrize(
+    "argv,required",
+    [
+        (("pathcount", "--k", "5", "--d", "1"), 3**5),
+        (("variance", "--poly", "0,0,0,1", "--dist", "uniform:1", "--d", "1"), 3**3),
+        (("classify", "--poly", "0,0,0,1", "--dist", "uniform:1", "--d", "1"), 3**3),
+        (("mean-trace", "--k", "3", "--d", "1", "--L", "2", "--dist", "uniform:1"), 3**3),
+        (("verify-table", "--d", "1"), 3**3),
+    ],
+    ids=lambda value: value[0] if isinstance(value, tuple) else None,
+)
+def test_budget_env_var_gives_resource_exit(capsys, monkeypatch, argv, required):
     monkeypatch.setenv("ANDERSON_BUDGET", "10")
-    code, _, err = run_cli(capsys, "pathcount", "--k", "5", "--d", "1")
-    assert code == 3
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out is None
     assert err["error"]["type"] == "resource"
-    assert "243" in err["error"]["message"]
+    assert f"requires {required} units" in err["error"]["message"]
 
 
-def test_malformed_budget_env_var_names_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv("ANDERSON_BUDGET", "abc")
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_malformed_budget_env_var_names_the_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("ANDERSON_BUDGET", value)
     code, out, err = run_cli(capsys, "pathcount", "--k", "3", "--d", "1")
     assert code == 2 and out is None
     assert err["error"]["type"] == "usage"
     assert "ANDERSON_BUDGET" in err["error"]["message"]
-    assert "'abc'" in err["error"]["message"]
+    assert f"'{value}'" in err["error"]["message"]
 
 
 def test_report_command_bundles_everything(capsys):

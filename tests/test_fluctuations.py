@@ -187,6 +187,17 @@ def test_report_round_trip_to_json():
     assert payload["empirical_var"] == report.empirical_var
 
 
+def test_statistics_that_were_not_computed_are_null():
+    few = run_experiment(X(2), UNIFORM, 1, 5, 49, 3).to_json_dict()
+    assert isinstance(few["empirical_var"], float)
+    for field in ("skewness", "excess_kurtosis", "ks_statistic", "ks_pvalue"):
+        assert few[field] is None
+    enough = run_experiment(X(2), UNIFORM, 1, 5, 50, 3).to_json_dict()
+    for field in ("empirical_var", "skewness", "excess_kurtosis", "ks_statistic", "ks_pvalue"):
+        assert isinstance(enough[field], float)
+    assert run_experiment(X(2), UNIFORM, 1, 5, 1, 3).empirical_var is None
+
+
 def test_report_csv_dump(tmp_path):
     report = run_experiment(X(1), UNIFORM, 1, 5, 10, 5)
     path = tmp_path / "samples.csv"

@@ -64,9 +64,10 @@ def test_sample_hamiltonian_support():
     assert set(np.unique(h.potential)) <= {-1.0, 1.0}
 
 
-def test_sample_hamiltonian_budget():
+def test_sample_hamiltonian_budget(monkeypatch):
+    monkeypatch.setenv("ANDERSON_BUDGET", "10")
     with pytest.raises(BudgetExceededError):
-        sample_hamiltonian(BoxSpec(1, 100), UNIFORM, 1, budget=10)
+        sample_hamiltonian(BoxSpec(1, 100), UNIFORM, 1)
 
 
 def test_trace_of_first_power_is_potential_sum():
@@ -117,10 +118,11 @@ def test_trace_matches_dense_eigendecomposition_2d():
     assert abs(mine - oracle) <= 1e-8 * (1 + abs(mine))
 
 
-def test_trace_powers_budget():
+def test_trace_powers_budget(monkeypatch):
     h = sample_hamiltonian(BoxSpec(1, 50), UNIFORM, 1)
+    monkeypatch.setenv("ANDERSON_BUDGET", "100")
     with pytest.raises(BudgetExceededError):
-        trace_powers_numeric(h, 5, budget=100)
+        trace_powers_numeric(h, 5)
 
 
 # BoxSpec(1, 1) at max_power 6 and BoxSpec(2, 1) at max_power 5 have a side
@@ -137,7 +139,7 @@ def test_trace_powers_match_dense_eigendecomposition(d, L, max_power):
         assert abs(trace - oracle) <= 1e-10 * float(np.sum(np.abs(eigenvalues) ** k))
 
 
-def test_trace_powers_budget_counts_two_half_power_generations():
+def test_trace_powers_budget_counts_two_half_power_generations(monkeypatch):
     box = BoxSpec(2, 2)
     max_power = 5
     radius = 3  # ceil(max_power / 2)
@@ -147,9 +149,11 @@ def test_trace_powers_budget_counts_two_half_power_generations():
     )
     required = 2 * box.volume * ball
     h = sample_hamiltonian(box, UNIFORM, 1)
-    assert len(trace_powers_numeric(h, max_power, budget=required)) == max_power
+    monkeypatch.setenv("ANDERSON_BUDGET", str(required))
+    assert len(trace_powers_numeric(h, max_power)) == max_power
+    monkeypatch.setenv("ANDERSON_BUDGET", str(required - 1))
     with pytest.raises(BudgetExceededError) as info:
-        trace_powers_numeric(h, max_power, budget=required - 1)
+        trace_powers_numeric(h, max_power)
     assert info.value.required == required
 
 

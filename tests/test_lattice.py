@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from andersonstats import MultiIndex, canonicalize, delta, shift
+from andersonstats import MultiIndex, canonicalize, delta
 
 from conftest import multi_indices, points
 
@@ -23,19 +23,19 @@ def test_delta_rejects_dimension_mismatch():
 
 
 def test_shift_translates_support():
-    assert shift(delta(1, (0,)), (2,)).to_map() == {(2,): 1}
+    assert delta(1, (0,)).shift((2,)).to_map() == {(2,): 1}
     two = MultiIndex.from_map(1, {(0,): 2, (1,): 1})
-    assert shift(two, (-1,)).to_map() == {(-1,): 2, (0,): 1}
+    assert two.shift((-1,)).to_map() == {(-1,): 2, (0,): 1}
 
 
 def test_shift_round_trip_example():
     index = MultiIndex.from_map(2, {(0, 0): 1, (1, 1): 2})
-    assert shift(shift(index, (4, -3)), (-4, 3)) == index
+    assert index.shift((4, -3)).shift((-4, 3)) == index
 
 
 def test_shift_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
-        shift(delta(2, (0, 0)), (1,))
+        delta(2, (0, 0)).shift((1,))
 
 
 def test_canonicalize_moves_lex_min_to_origin():
@@ -100,19 +100,19 @@ def test_grammar_rejects_malformed_input():
 def test_shift_round_trip(index, data):
     move = data.draw(points(index.d))
     inverse = tuple(-c for c in move)
-    assert shift(shift(index, move), inverse) == index
+    assert index.shift(move).shift(inverse) == index
 
 
 @given(multi_indices(), st.data())
 def test_canonical_representative_is_shift_invariant(index, data):
     move = data.draw(points(index.d))
-    assert canonicalize(shift(index, move))[0] == canonicalize(index)[0]
+    assert canonicalize(index.shift(move))[0] == canonicalize(index)[0]
 
 
 @given(multi_indices())
 def test_canonicalize_contract(index):
     rep, move = canonicalize(index)
-    assert rep == shift(index, move)
+    assert rep == index.shift(move)
     origin = (0,) * index.d
     assert min(rep.support()) == origin
     assert rep.exponent(origin) >= 1
@@ -123,7 +123,7 @@ def test_canonicalize_contract(index):
 def test_total_exponent_invariants(index, data):
     move = data.draw(points(index.d))
     total = index.total_exponent()
-    assert shift(index, move).total_exponent() == total
+    assert index.shift(move).total_exponent() == total
     assert canonicalize(index)[0].total_exponent() == total
 
 

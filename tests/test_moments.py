@@ -61,15 +61,6 @@ def test_model_validation():
         MomentModel.gaussian(-1)
 
 
-def test_max_order_cap():
-    capped = MomentModel.uniform_symmetric(1, max_order=4)
-    assert moment(capped, 4) == Fraction(1, 5)
-    with pytest.raises(ValueError):
-        moment(capped, 5)
-    with pytest.raises(ValueError):
-        monomial_expectation(capped, delta(1, (0,), 6))
-
-
 def test_support_class():
     assert support_class(TWO_POINT).kind == "two_point"
     assert support_class(TWO_POINT).values == (-1, 1)

@@ -90,11 +90,12 @@ def test_limiting_covariance_matches_offset_sums(d):
                 assert limiting_covariance((k, l), model, d) == expected
 
 
-def test_limiting_covariance_memo_still_checks_budget():
+def test_limiting_covariance_memo_still_checks_budget(monkeypatch):
     value = limiting_covariance((3, 4), UNIFORM, 2)
     assert limiting_covariance((4, 3), UNIFORM, 2) == value
+    monkeypatch.setenv("ANDERSON_BUDGET", "10")
     with pytest.raises(BudgetExceededError):
-        limiting_covariance((3, 4), UNIFORM, 2, budget=10)
+        limiting_covariance((3, 4), UNIFORM, 2)
 
 
 def test_limiting_covariance_base_cases():
@@ -252,7 +253,7 @@ def test_route_disagreement_raises_integrity_error(monkeypatch):
 
     quad = degenerate_basis(TWO_POINT, 1)[0]
     monkeypatch.setattr(
-        variance_module, "sigma_squared", lambda p, model, d, budget=None: Fraction(1)
+        variance_module, "sigma_squared", lambda p, model, d: Fraction(1)
     )
     with pytest.raises(IntegrityError):
         classify(quad, TWO_POINT, 1)

@@ -14,7 +14,6 @@ from andersonstats import (
     canonicalize,
     delta,
     path_counts,
-    shift,
     truncated_coefficient,
 )
 from andersonstats.walks import placements
@@ -182,7 +181,7 @@ def test_count_is_shift_invariant(k, d, data):
         return
     index = data.draw(st.sampled_from(sorted(table.counts, key=lambda m: m.entries)))
     move = data.draw(points(d))
-    assert table.count_for(shift(index, move)) == table.counts[index]
+    assert table.count_for(index.shift(move)) == table.counts[index]
 
 
 def test_truncated_coefficient_at_box_edge():
@@ -219,7 +218,7 @@ def test_truncated_coefficient_matches_brute_force(k, L, d):
     table = path_counts(k, d)
     for index in table.counts:
         for anchor in product(range(-L - 1, L + 2), repeat=d):
-            moved = shift(index, anchor)
+            moved = index.shift(anchor)
             assert truncated_coefficient(moved, k, L) == brute_truncated_coefficient(
                 moved, k, L
             )
@@ -232,7 +231,7 @@ def test_truncated_coefficient_sandwich():
         for index in table.counts:
             count = table.counts[index]
             for anchor in range(-L - k, L + k + 1):
-                moved = shift(index, (anchor,))
+                moved = index.shift((anchor,))
                 a = truncated_coefficient(moved, k, L)
                 assert 0 <= a <= count
                 support = moved.support()
@@ -242,11 +241,12 @@ def test_truncated_coefficient_sandwich():
                     assert a == 0
 
 
-def test_budget_guard_names_required_count():
+def test_budget_guard_names_required_count(monkeypatch):
     with pytest.raises(BudgetExceededError) as info:
         path_counts(40, 3)
     assert info.value.required == 7**40
+    monkeypatch.setenv("ANDERSON_BUDGET", "10")
     with pytest.raises(BudgetExceededError):
-        truncated_coefficient(delta(1, (0,)), 4, 2, budget=10)
+        truncated_coefficient(delta(1, (0,)), 4, 2)
     with pytest.raises(BudgetExceededError):
-        balanced_census(4, 1, budget=10)
+        balanced_census(4, 1)
