@@ -27,6 +27,8 @@ def main() -> None:
     parser.add_argument("--samples", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.samples < 2:
+        parser.error("--samples must be at least 2: the empirical variance needs two samples")
 
     p = Poly.parse(args.poly)
     model = parse_distribution(args.dist)

@@ -1,12 +1,16 @@
 """Monte Carlo experiments on normalized trace fluctuations.
 
-Samples are drawn serially. Each one draws an independent potential
-(stream seed = seed XOR sample index, so sample s depends only on seed XOR s
-and enlarging the run never re-randomizes earlier samples), evaluates the
-trace of the polynomial numerically, and centers it with the exact rational
-expectation converted to float once. Exact centering removes the
-mean-estimation noise that would otherwise dominate variance checks at
-moderate sample counts.
+Samples are drawn and traced in chunks. Each sample draws an independent
+potential (stream seed = seed XOR sample index) into its row of the chunk,
+one batched half-power kernel evaluates the trace of the polynomial for the
+whole chunk, and each trace is centered with the exact rational expectation
+converted to float once. A chunk holds as many samples as fit in
+``CHUNK_CELLS`` half-power cells (fewer if the budget is smaller), at least
+one, so small boxes are traced many at a time and large ones alone. The
+chunk a sample lands in does not change its value: sample s depends only on
+seed XOR s, and enlarging the run never re-randomizes earlier samples.
+Exact centering removes the mean-estimation noise that would otherwise
+dominate variance checks at moderate sample counts.
 
 The gaussian limit is checked by a one-sample Kolmogorov-Smirnov test with
 the asymptotic Kolmogorov p-value plus skewness and kurtosis diagnostics.
@@ -28,13 +32,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .hamiltonian import BoxSpec, mean_trace_exact, sample_hamiltonian, trace_poly_numeric
-from .moments import MomentModel, format_distribution
+from .budget import check_budget, resolve_budget
+from .hamiltonian import BoxSpec, half_power_cells, mean_trace_exact, trace_poly_batch
+from .moments import MomentModel, format_distribution, sample
 from .poly import Poly
 from .variance import sigma_squared
 
 if TYPE_CHECKING:
     import numpy as np
+
+# Half-power cells a chunk of samples may allocate at once (2^19 float64
+# cells, 4 MiB); a sample that needs more is traced alone.
+CHUNK_CELLS = 1 << 19
 
 
 class KsResult(NamedTuple):
@@ -163,9 +172,14 @@ def run_experiment(
     """Draw normalized centered trace samples and test them.
 
     Deterministic given the configuration and seed: sample s is a pure
-    function of (seed XOR s). Samples are drawn serially, which measured
-    faster than a thread pool in every case tried. ``threads`` is accepted
-    and ignored, for callers that still pass it (``perfbench/run.py``).
+    function of (seed XOR s), equal bit for bit to
+    ``(trace_poly_numeric(sample_hamiltonian(box, model, seed ^ s), p) -
+    center) / sqrt(volume)``. Samples are drawn and traced in chunks of
+    max(1, min(CHUNK_CELLS, budget) // cells) samples, where cells =
+    2 volume |B_1(ceil(degree / 2))| are the half-power cells one sample
+    needs; each chunk charges the budget for its potentials and its
+    half-power cells. ``threads`` is accepted and ignored, for callers that
+    still pass it (``perfbench/run.py``).
     """
     import numpy as np
 
@@ -181,10 +195,17 @@ def run_experiment(
     center = float(exact_mean)
     norm = math.sqrt(box.volume)
 
+    cells = half_power_cells(d, box.volume, p.degree)
+    chunk = max(1, min(CHUNK_CELLS, resolve_budget()) // cells)
     samples = np.empty(n_samples)
-    for s in range(n_samples):
-        h = sample_hamiltonian(box, model, seed ^ s)
-        samples[s] = (trace_poly_numeric(h, p) - center) / norm
+    for start in range(0, n_samples, chunk):
+        size = min(chunk, n_samples - start)
+        check_budget(size * box.volume, f"potentials of {size} samples")
+        potentials = np.empty((size, box.volume))
+        for row in range(size):
+            potentials[row] = sample(model, seed ^ (start + row), box.volume)
+        traces = trace_poly_batch(potentials.reshape((size,) + (box.n_side,) * d), p)
+        samples[start : start + size] = (traces - center) / norm
 
     diagnostics = moment_diagnostics(samples) if n_samples >= 50 else None
     ks: KsResult | None = None

@@ -6,7 +6,11 @@ powers are computed from half powers: column x of H^j is supported on the
 L1 ball of radius j around x, so the entries (H^j)_{x+delta, x} are kept
 for all sites at once as one grid-shaped array per offset delta in that
 ball, and Tr H^k is a sum of inner products of two such generations with
-j = ceil(k/2). The expected trace is evaluated in exact rational arithmetic
+j = ceil(k/2). One kernel, :func:`trace_powers_batch`, propagates a stack of
+potentials with a leading sample axis at once and takes each sample's inner
+products over its own block, so a sample's traces do not depend on the
+stack it is traced in; :func:`trace_powers_numeric` is a stack of one.
+The expected trace is evaluated in exact rational arithmetic
 from the visit classes of closed hop walks (see :mod:`andersonstats.walks`):
 per class, the anchor positions that keep the walk inside the box are a
 product of per-axis interval lengths, and each placement of the potential
@@ -16,7 +20,7 @@ enter once per tuple at the end.
 
 Floats are used only for sampled quantities; expectations stay rational and
 the two never mix silently. numpy is imported only inside
-:func:`trace_powers_numeric`, so the exact expectation loads without it.
+:func:`trace_powers_batch`, so the exact expectation loads without it.
 """
 
 from __future__ import annotations
@@ -90,12 +94,22 @@ def _l1_ball_size(d: int, r: int) -> int:
     return sum(2**k * comb(d, k) * comb(r, k) for k in range(min(d, r) + 1))
 
 
-def trace_powers_numeric(h: SampledHamiltonian, max_power: int) -> list[float]:
-    """Traces of the operator powers 1..max_power from half powers.
+def half_power_cells(d: int, volume: int, max_power: int) -> int:
+    """Cells of the two live half-power generations one sample of the given
+    volume in Z^d needs for the traces of powers up to ``max_power``:
+    2 volume |B_1(ceil(max_power / 2))|."""
+    return 2 * volume * _l1_ball_size(d, (max_power + 1) // 2)
 
+
+def trace_powers_batch(potentials: np.ndarray, max_power: int) -> np.ndarray:
+    """Traces of the operator powers 1..max_power for a stack of potentials.
+
+    ``potentials`` has a leading sample axis, shape (B, n, ..., n), one box
+    potential per row; the result has shape (B, max_power). With
     psi_j[delta](x) = (H^j)_{x+delta, x} for all sites x at once, one
-    grid-shaped array per offset delta with |delta|_1 <= j (a walk of length
-    j moves at most j steps). One application of the operator is
+    grid-shaped array per sample and offset delta with |delta|_1 <= j (a
+    walk of length j moves at most j steps), one application of the
+    operator is
 
         psi_{j+1}[delta](x) = V(x+delta) psi_j[delta](x)
                               + sum over +-e_i of psi_j[delta +- e_i](x)
@@ -103,64 +117,91 @@ def trace_powers_numeric(h: SampledHamiltonian, max_power: int) -> list[float]:
     for x+delta in the box, and 0 outside it. The operator is real
     symmetric, so Tr H^(2j-1) = sum_delta <psi_j[delta], psi_{j-1}[delta]>
     and Tr H^(2j) = sum_delta <psi_j[delta], psi_j[delta]>: half powers up to
-    r = ceil(max_power / 2) suffice, with two generations live at once.
+    r = ceil(max_power / 2) suffice, with two generations live at once, each
+    of shape (B, |B_1(j)|, n, ..., n).
+
+    The propagation runs on the whole stack at once; each sample's inner
+    products are one dot product over its own contiguous block of a
+    generation, so a sample's traces are bit-for-bit the same whatever B is
+    and wherever in the stack it sits.
     """
     import numpy as np
 
     if max_power < 1:
         raise ValueError("need a power >= 1")
-    box = h.box
-    d, n = box.d, box.n_side
+    batch, *grid = potentials.shape
+    d = len(grid)
+    if d < 1 or len(set(grid)) != 1:
+        raise ValueError(f"potentials of shape {potentials.shape} are not a stack of cubes")
+    n = grid[0]
     r = (max_power + 1) // 2
-    check_budget(2 * box.volume * _l1_ball_size(d, r), "trace half-power cells")
+    check_budget(batch * half_power_cells(d, n**d, max_power), "trace half-power cells")
     ball = l1_ball(d, r)
     position = {delta: i for i, delta in enumerate(ball)}
 
-    # per offset: its position in the ball, the sites x with x+delta in the
-    # box (none once some |delta_i| >= n), the sites x+delta, and the
-    # positions of its lattice neighbours in the ball
+    # per offset: its position in the ball, the index of the sites x with
+    # x+delta in the box (none once some |delta_i| >= n), the index of the
+    # sites x+delta in the potentials, and the indexes of the same sites
+    # under its lattice neighbours in the ball, each with the sample axis
+    every = slice(None)
     steps = []
     for i, delta in enumerate(ball):
         if any(abs(c) >= n for c in delta):
             continue
         sites = tuple(slice(max(0, -c), n - max(0, c)) for c in delta)
-        shifted = tuple(slice(max(0, c), n + min(0, c)) for c in delta)
-        neighbours = [position[q] for q in adjacent(delta) if q in position]
-        steps.append((i, sites, shifted, neighbours))
+        shifted = (every,) + tuple(slice(max(0, c), n + min(0, c)) for c in delta)
+        neighbours = [
+            (position[q], (every, position[q]) + sites)
+            for q in adjacent(delta)
+            if q in position
+        ]
+        steps.append((i, (every, i) + sites, shifted, neighbours))
 
-    potential = h.potential
-    psi = np.ones((1,) + potential.shape)
-    traces: list[float] = []
+    psi = np.ones((batch, 1, *grid))
+    traces = np.empty((batch, 2 * r))
     for j in range(1, r + 1):
-        previous = len(psi)
-        nxt = np.zeros((_l1_ball_size(d, j),) + potential.shape)
-        for i, sites, shifted, neighbours in steps:
-            if i >= len(nxt):
+        previous = psi.shape[1]
+        nxt = np.zeros((batch, _l1_ball_size(d, j), *grid))
+        for i, index, shifted, neighbours in steps:
+            if i >= nxt.shape[1]:
                 break
-            row = nxt[i][sites]
+            row = nxt[index]
             if i < previous:
-                np.multiply(potential[shifted], psi[i][sites], out=row)
-            for k in neighbours:
+                np.multiply(potentials[shifted], psi[index], out=row)
+            for k, neighbour in neighbours:
                 if k < previous:
-                    row += psi[k][sites]
-        flat = nxt.ravel()
-        traces.append(float(flat[: psi.size] @ psi.ravel()))
-        traces.append(float(flat @ flat))
+                    row += psi[neighbour]
+        flat, older = nxt.reshape(batch, -1), psi.reshape(batch, -1)
+        for b in range(batch):
+            traces[b, 2 * j - 2] = flat[b, : older.shape[1]] @ older[b]
+            traces[b, 2 * j - 1] = flat[b] @ flat[b]
         psi = nxt
-    return traces[:max_power]
+    return traces[:, :max_power]
+
+
+def trace_poly_batch(potentials: np.ndarray, p: Poly) -> np.ndarray:
+    """Trace of p applied to the operator of each potential in a stack of
+    shape (B, n, ..., n) (constant term included); shape (B,)."""
+    if p.degree < 1:
+        raise ValueError("need a non-constant polynomial")
+    traces = trace_powers_batch(potentials, p.degree)
+    result = float(p.coefficient(0)) * potentials[0].size
+    for k in range(1, p.degree + 1):
+        coefficient = p.coefficient(k)
+        if coefficient != 0:
+            result += float(coefficient) * traces[:, k - 1]
+    return result
+
+
+def trace_powers_numeric(h: SampledHamiltonian, max_power: int) -> list[float]:
+    """Traces of the operator powers 1..max_power of one sampled operator:
+    :func:`trace_powers_batch` on a stack of one potential."""
+    return trace_powers_batch(h.potential[None], max_power)[0].tolist()
 
 
 def trace_poly_numeric(h: SampledHamiltonian, p: Poly) -> float:
     """Trace of p applied to the sampled operator (constant term included)."""
-    if p.degree < 1:
-        raise ValueError("need a non-constant polynomial")
-    traces = trace_powers_numeric(h, p.degree)
-    result = float(p.coefficient(0)) * h.box.volume
-    for k in range(1, p.degree + 1):
-        coefficient = p.coefficient(k)
-        if coefficient != 0:
-            result += float(coefficient) * traces[k - 1]
-    return result
+    return float(trace_poly_batch(h.potential[None], p)[0])
 
 
 def mean_trace_exact(k: int, box: BoxSpec, model: MomentModel) -> Fraction:

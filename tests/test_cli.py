@@ -11,6 +11,7 @@ import pytest
 
 import andersonstats
 from andersonstats import (
+    BudgetExceededError,
     MomentModel,
     Poly,
     degenerate_basis,
@@ -22,6 +23,7 @@ from andersonstats import (
     BoxSpec,
 )
 from andersonstats.cli import main
+from andersonstats.hamiltonian import half_power_cells
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +176,27 @@ def test_budget_env_var_gives_resource_exit(capsys, monkeypatch, argv, required)
     assert code == 3 and out is None
     assert err["error"]["type"] == "resource"
     assert f"requires {required} units" in err["error"]["message"]
+
+
+def test_simulate_budget_is_one_samples_half_power_cells(capsys, monkeypatch):
+    # chunks shrink to one sample under a tight budget, so a budget of one
+    # sample's half-power cells runs and one cell less is a resource error
+    poly, L = "0,1,0,1,0,1", 20
+    p, model = Poly.parse(poly), MomentModel.uniform_symmetric(1)
+    cells = half_power_cells(1, 2 * L + 1, p.degree)
+    monkeypatch.setenv("ANDERSON_BUDGET", str(cells))
+    assert len(run_experiment(p, model, 1, L, 5, 0).samples) == 5
+    monkeypatch.setenv("ANDERSON_BUDGET", str(cells - 1))
+    with pytest.raises(BudgetExceededError) as info:
+        run_experiment(p, model, 1, L, 5, 0)
+    assert info.value.required == cells
+    code, out, err = run_cli(
+        capsys, "simulate", "--poly", poly, "--dist", "uniform:1", "--d", "1",
+        "--L", str(L), "--samples", "5",
+    )
+    assert code == 3 and out is None
+    assert err["error"]["type"] == "resource"
+    assert f"requires {cells} units" in err["error"]["message"]
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])

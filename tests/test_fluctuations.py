@@ -13,11 +13,15 @@ from andersonstats import (
     Poly,
     degenerate_basis,
     ks_test,
+    mean_trace_exact,
     moment_diagnostics,
     run_experiment,
     sample_hamiltonian,
     sigma_squared,
+    trace_poly_numeric,
 )
+from andersonstats.fluctuations import CHUNK_CELLS
+from andersonstats.hamiltonian import half_power_cells
 
 UNIFORM = MomentModel.uniform_symmetric(1)
 GAUSSIAN = MomentModel.gaussian(1)
@@ -110,6 +114,38 @@ def test_thread_count_does_not_change_results():
     single = run_experiment(X(2), UNIFORM, 1, 20, 60, 7, threads=1)
     pooled = run_experiment(X(2), UNIFORM, 1, 20, 60, 7, threads=4)
     assert np.array_equal(single.samples, pooled.samples)
+
+
+# d=1, L=200 at degree 5 takes 2 * 401 * 7 = 5614 half-power cells per
+# sample, so 93 samples share a chunk and the runs below cross chunk
+# boundaries; d=3, L=10 at degree 3 takes 463050 cells and is traced alone
+@pytest.mark.parametrize(
+    "d,L,p,n,chunk",
+    [
+        (1, 200, Poly.from_coeffs([1, 2, 0, -1, 0, 1]), 200, 93),
+        (3, 10, Poly.from_coeffs([0, 0, 1, 1]), 3, 1),
+    ],
+    ids=["d1-chunks", "d3-one-per-chunk"],
+)
+def test_chunking_is_invisible(monkeypatch, d, L, p, n, chunk):
+    box, seed = BoxSpec(d, L), 5
+    cells = half_power_cells(d, box.volume, p.degree)
+    assert max(1, CHUNK_CELLS // cells) == chunk < n
+    samples = run_experiment(p, UNIFORM, d, L, n, seed).samples
+    # a prefix of a longer run, whose chunks split the samples differently
+    assert np.array_equal(run_experiment(p, UNIFORM, d, L, n + 57, seed).samples[:n], samples)
+    # each sample is its own potential's trace, traced alone
+    exact = p.coefficient(0) * box.volume + sum(
+        p.coefficient(k) * mean_trace_exact(k, box, UNIFORM) for k in range(1, p.degree + 1)
+    )
+    center, norm = float(exact), math.sqrt(box.volume)
+    for s in range(n):
+        h = sample_hamiltonian(box, UNIFORM, seed ^ s)
+        assert samples[s] == (trace_poly_numeric(h, p) - center) / norm
+    # chunks of one and of three samples, capped by the budget
+    for per_chunk in (1, 3):
+        monkeypatch.setenv("ANDERSON_BUDGET", str(per_chunk * cells))
+        assert np.array_equal(run_experiment(p, UNIFORM, d, L, n, seed).samples, samples)
 
 
 def test_first_power_samples_are_normalized_potential_sums():

@@ -22,6 +22,7 @@ from andersonstats import (
     balanced_census,
     monomial_expectation,
 )
+from andersonstats.hamiltonian import trace_powers_batch
 
 from helpers import (
     brute_mean_trace,
@@ -126,17 +127,31 @@ def test_trace_powers_budget(monkeypatch):
 
 
 # BoxSpec(1, 1) at max_power 6 and BoxSpec(2, 1) at max_power 5 have a side
-# of 3, no wider than the half-power radius 3: some offsets leave the box
+# of 3, no wider than the half-power radius 3: some offsets leave the box.
+# A stack of several potentials goes through the batched kernel at once;
+# every sample must match its own dense spectrum and, bit for bit, its
+# traces computed alone.
 @pytest.mark.parametrize("max_power", [1, 2, 3, 4, 5, 6])
-@pytest.mark.parametrize("d,L", [(1, 1), (1, 7), (2, 1), (2, 3), (3, 2)])
-def test_trace_powers_match_dense_eigendecomposition(d, L, max_power):
-    h = sample_hamiltonian(BoxSpec(d, L), GAUSSIAN, 10 * d + L)
-    eigenvalues = np.linalg.eigvalsh(dense_matrix(h))
-    traces = trace_powers_numeric(h, max_power)
-    assert len(traces) == max_power
-    for k, trace in enumerate(traces, start=1):
-        oracle = float(np.sum(eigenvalues**k))
-        assert abs(trace - oracle) <= 1e-10 * float(np.sum(np.abs(eigenvalues) ** k))
+@pytest.mark.parametrize(
+    "d,L,stack",
+    [pytest.param(d, L, 1, id=f"{d}-{L}") for d, L in [(1, 1), (1, 7), (2, 1), (2, 3), (3, 2)]]
+    + [
+        pytest.param(d, L, stack, id=f"{d}-{L}-stack{stack}")
+        for d, L, stack in [(1, 1, 4), (1, 7, 3), (2, 1, 3), (2, 3, 2), (3, 2, 2)]
+    ],
+)
+def test_trace_powers_match_dense_eigendecomposition(d, L, stack, max_power):
+    box = BoxSpec(d, L)
+    hs = [sample_hamiltonian(box, GAUSSIAN, 10 * d + L + 100 * s) for s in range(stack)]
+    batched = trace_powers_batch(np.stack([h.potential for h in hs]), max_power)
+    assert batched.shape == (stack, max_power)
+    for h, row in zip(hs, batched):
+        traces = trace_powers_numeric(h, max_power)
+        assert row.tolist() == traces
+        eigenvalues = np.linalg.eigvalsh(dense_matrix(h))
+        for k, trace in enumerate(traces, start=1):
+            oracle = float(np.sum(eigenvalues**k))
+            assert abs(trace - oracle) <= 1e-10 * float(np.sum(np.abs(eigenvalues) ** k))
 
 
 def test_trace_powers_budget_counts_two_half_power_generations(monkeypatch):
