@@ -6,7 +6,9 @@ strings like ``"4/45"``. Exit codes: 0 success, 1 verification mismatch,
 2 usage error, 3 resource budget exceeded. Errors are emitted as JSON on
 stderr. The ``ANDERSON_BUDGET`` environment variable (a positive decimal
 integer, default 10^9) is the only setting of the enumeration and memory
-budgets; any other value is a usage error.
+budgets; any other value is a usage error. Each command imports only the
+layers it runs, inside its handler, so that an exact command loads neither
+the Monte Carlo layer nor numpy.
 """
 
 from __future__ import annotations
@@ -16,14 +18,6 @@ import json
 import sys
 
 from .budget import BudgetExceededError
-from .fluctuations import run_experiment
-from .hamiltonian import BoxSpec, mean_trace_exact
-from .lattice import MultiIndex, canonicalize
-from .moments import parse_distribution, support_class
-from .table import verify_reference_table
-from .poly import Poly
-from .variance import classify, degenerate_basis, sigma_squared
-from .walks import path_counts
 
 SCHEMA_VERSION = 1
 
@@ -51,6 +45,9 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def _cmd_pathcount(args) -> int:
+    from .lattice import MultiIndex, canonicalize
+    from .walks import path_counts
+
     table = path_counts(args.k, args.d)
     if args.beta is not None:
         index = MultiIndex.parse(args.beta, d=args.d)
@@ -62,12 +59,18 @@ def _cmd_pathcount(args) -> int:
 
 
 def _cmd_verify_table(args) -> int:
+    from .table import verify_reference_table
+
     verification = verify_reference_table(args.d)
     _emit(verification.to_json_dict())
     return EXIT_OK if verification.match else EXIT_MISMATCH
 
 
 def _cmd_variance(args) -> int:
+    from .moments import parse_distribution
+    from .poly import Poly
+    from .variance import sigma_squared
+
     p = Poly.parse(args.poly)
     model = parse_distribution(args.dist)
     value = sigma_squared(p, model, args.d)
@@ -84,6 +87,9 @@ def _cmd_variance(args) -> int:
 
 
 def _cmd_degenerate(args) -> int:
+    from .moments import parse_distribution, support_class
+    from .variance import degenerate_basis
+
     model = parse_distribution(args.dist)
     basis = degenerate_basis(model, args.d)
     kind = support_class(model)
@@ -99,6 +105,10 @@ def _cmd_degenerate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .moments import parse_distribution
+    from .poly import Poly
+    from .variance import classify, sigma_squared
+
     p = Poly.parse(args.poly)
     model = parse_distribution(args.dist)
     label = classify(p, model, args.d)
@@ -116,6 +126,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_mean_trace(args) -> int:
+    from .hamiltonian import BoxSpec, mean_trace_exact
+    from .moments import parse_distribution
+
     model = parse_distribution(args.dist)
     box = BoxSpec(args.d, args.L)
     value = mean_trace_exact(args.k, box, model)
@@ -133,6 +146,10 @@ def _cmd_mean_trace(args) -> int:
 
 
 def _run_simulation(args):
+    from .fluctuations import run_experiment
+    from .moments import parse_distribution
+    from .poly import Poly
+
     p = Poly.parse(args.poly)
     model = parse_distribution(args.dist)
     return run_experiment(p, model, args.d, args.L, args.samples, args.seed)
@@ -147,6 +164,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .moments import parse_distribution
+    from .table import verify_reference_table
+    from .variance import classify, degenerate_basis, sigma_squared
+
     verification = verify_reference_table(args.d)
     model = parse_distribution(args.dist)
     certificates = []

@@ -208,7 +208,8 @@ def mean_trace_exact(k: int, box: BoxSpec, model: MomentModel) -> Fraction:
     """Exact expectation of the trace of the k-th power over the box.
 
     Per visit class, the number of admissible anchors factorizes over axes
-    as max(0, side - walk range), and the monomial expectation depends only
+    as max(0, side - walk range); it and the exponents are the same for the
+    2d images of a reduced class. The monomial expectation depends only
     on the multiset of potential exponents. Anchored string counts are
     tallied per sorted exponent tuple in integers; moments enter once per
     tuple at the end.
@@ -218,7 +219,9 @@ def mean_trace_exact(k: int, box: BoxSpec, model: MomentModel) -> Fraction:
     side = box.n_side
     tally: dict[tuple[int, ...], int] = {}
     for cls in visit_classes(k, box.d):
-        anchored = cls.walks
+        # a non-empty reduced class stands for its 2d images, which have the
+        # same anchor count and exponents
+        anchored = cls.walks * (2 * box.d if cls.hops else 1)
         for lo, hi in zip(cls.lows, cls.highs):
             anchored *= max(0, side - (hi - lo))
         if anchored == 0:

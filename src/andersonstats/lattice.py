@@ -6,6 +6,11 @@ Translation acts on multi-indices by shifting their support, and each
 non-zero translation class has a unique canonical representative whose
 lexicographically smallest support point is the origin.
 
+The point symmetries of Z^d are the 2^d d! signed axis permutations. They
+map translation classes to translation classes; ``fold_key`` names the orbit
+of a class, and ``first_hop_maps`` lists the 2d symmetries that take the
+first unit vector e_1 to each unit vector.
+
 All values are immutable after construction and safe to share across
 threads. Lexicographic order on points compares coordinates left to right.
 
@@ -20,10 +25,14 @@ string.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import permutations, product
+from operator import sub
 from typing import Mapping
 
 Point = tuple[int, ...]
+# A signed axis permutation (perm, signs) maps p to q, q[i] = signs[i] p[perm[i]].
+Symmetry = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,3 +186,52 @@ def adjacent(point: Point) -> list[Point]:
         for axis in range(len(point))
         for step in (1, -1)
     ]
+
+
+@lru_cache(maxsize=None)
+def point_symmetries(d: int) -> tuple[Symmetry, ...]:
+    """The 2^d d! signed axis permutations of Z^d."""
+    return tuple(
+        (perm, signs)
+        for perm in permutations(range(d))
+        for signs in product((1, -1), repeat=d)
+    )
+
+
+@lru_cache(maxsize=None)
+def first_hop_maps(d: int) -> tuple[Symmetry, ...]:
+    """One symmetry g_u per unit vector u = s e_a with g_u(e_1) = u, each its
+    own inverse: x_1 -> s x_1 if a = 1, else x_1 -> s x_a and x_a -> s x_1.
+    The identity comes first."""
+    maps = []
+    for axis in range(d):
+        perm = list(range(d))
+        perm[0], perm[axis] = axis, 0
+        for sign in (1, -1):
+            signs = [1] * d
+            signs[0] = signs[axis] = sign
+            maps.append((tuple(perm), tuple(signs)))
+    return tuple(maps)
+
+
+def map_point(symmetry: Symmetry, point: Point) -> Point:
+    perm, signs = symmetry
+    return tuple([s * point[i] for s, i in zip(signs, perm)])
+
+
+def map_entries(symmetry: Symmetry, entries: tuple) -> tuple:
+    """Canonical entries (as in ``canonicalize``) of the image of the
+    translation class with the given entries."""
+    perm, signs = symmetry
+    pairs = list(zip(signs, perm))
+    mapped = sorted([(tuple([s * p[i] for s, i in pairs]), e) for p, e in entries])
+    anchor = mapped[0][0]
+    return tuple([(tuple(map(sub, p, anchor)), e) for p, e in mapped])
+
+
+def fold_key(index: MultiIndex) -> tuple:
+    """Orbit key of the translation class under the point symmetries: the
+    lexicographically smallest canonical entries of its images."""
+    if index.is_zero:
+        raise ValueError("the zero multi-index has no fold key")
+    return min(map_entries(g, index.entries) for g in point_symmetries(index.d))

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .lattice import MultiIndex, Point
+from .lattice import MultiIndex
 
 if TYPE_CHECKING:
     import numpy as np
@@ -150,18 +150,6 @@ def monomial_expectation(model: MomentModel, index: MultiIndex) -> Fraction:
     Factorizes over sites; the zero multi-index gives 1.
     """
     return moment_product(model, (e for _, e in index.entries))
-
-
-def monomial_covariance(
-    model: MomentModel, left: MultiIndex, right: MultiIndex, offset: Point
-) -> Fraction:
-    """Exact covariance of the monomials of ``left`` and ``right`` shifted by
-    ``offset``; exactly zero when their supports are disjoint."""
-    shifted = right.shift(offset)
-    if not set(left.support()) & set(shifted.support()):
-        return Fraction(0)
-    joint = monomial_expectation(model, left + shifted)
-    return joint - monomial_expectation(model, left) * monomial_expectation(model, shifted)
 
 
 def sample(model: MomentModel, seed: int, count: int) -> np.ndarray:

@@ -12,18 +12,17 @@ weighted pairs 2delta+delta^(+-e). Counts per class:
 
 Classes that only differ by the axis or the orientation of the off-origin
 point are distinct canonical classes but share one count; the verification
-folds them under coordinate permutations and reflections for display and
-checks the multiplicity of each folded group (d axes for delta+delta^e,
-2d orientations for 2delta+delta^(+-e)) as well as the absence of anything
-unlisted.
+folds them under coordinate permutations and reflections (``lattice.fold_key``)
+for display and checks the multiplicity of each folded group (d axes for
+delta+delta^e, 2d orientations for 2delta+delta^(+-e)) as well as the
+absence of anything unlisted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations, product
 
-from .lattice import MultiIndex, canonicalize, delta
+from .lattice import MultiIndex, delta, fold_key
 from .walks import path_counts
 
 MAX_TABLE_POWER = 5
@@ -67,29 +66,6 @@ def reference_rows(d: int) -> list[ReferenceRow]:
         ReferenceRow(5, "5delta", pure(5), 1, 1),
         ReferenceRow(5, "2delta+delta^(+-e)", weighted, 5, 2 * d),
     ]
-
-
-def fold_key(index: MultiIndex) -> tuple:
-    """Orbit key of the translation class under coordinate permutations and
-    per-axis reflections: the lexicographically smallest canonical form."""
-    if index.is_zero:
-        raise ValueError("the zero multi-index has no fold key")
-    d = index.d
-    best = None
-    for perm in permutations(range(d)):
-        for signs in product((1, -1), repeat=d):
-            mapped = MultiIndex.from_map(
-                d,
-                {
-                    tuple(signs[i] * point[perm[i]] for i in range(d)): e
-                    for point, e in index.entries
-                },
-            )
-            rep, _ = canonicalize(mapped)
-            if best is None or rep.entries < best:
-                best = rep.entries
-    assert best is not None
-    return best
 
 
 @dataclass

@@ -14,8 +14,10 @@ translates that overlap, the covariance of two site monomials. That
 covariance depends only on the sorted exponents of the joint monomial and
 of the two factors, so the pair loop fills two integer histograms keyed by
 those exponent tuples; the model's moments are evaluated once per key at
-the end. The test suite keeps the direct per-pair, per-offset sum as an
-oracle.
+the end. Both tables and their counts are invariant under the point
+symmetries of Z^d, and so is each pair's offset sum, so the outer loop runs
+over one representative per orbit of classes, weighted by the orbit's size.
+The test suite keeps the direct per-pair, per-offset sum as an oracle.
 
 Everything here is pure rational arithmetic; no epsilon appears anywhere.
 """
@@ -27,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from operator import add, sub
 
-from .lattice import MultiIndex, Point, delta
+from .lattice import MultiIndex, Point, delta, map_entries, point_symmetries
 from .moments import (
     MomentModel,
     moment_product,
@@ -35,7 +37,7 @@ from .moments import (
     support_class,
 )
 from .poly import Poly
-from .walks import path_counts
+from .walks import PathCountTable, path_counts
 
 
 class IntegrityError(RuntimeError):
@@ -56,6 +58,36 @@ def _overlapping_offsets(left_sites, right_sites) -> set[Point]:
     return {tuple(map(sub, p, q)) for p in left_sites for q in right_sites}
 
 
+_ORBIT_CACHE: dict[tuple[int, int], list[tuple[MultiIndex, int]]] = {}
+
+
+def _orbits(table: PathCountTable) -> list[tuple[MultiIndex, int]]:
+    """One class per orbit of the table's classes under the point symmetries,
+    with the orbit's total count (its size times the common class count).
+    Memoized per (k, d); an orbit whose images are not all in the table with
+    one count raises ``IntegrityError``."""
+    cached = _ORBIT_CACHE.get((table.k, table.d))
+    if cached is not None:
+        return cached
+    counts = {index.entries: count for index, count in table.counts.items()}
+    symmetries = point_symmetries(table.d)
+    seen: set[tuple] = set()
+    orbits = []
+    for index, count in table.counts.items():
+        if index.entries in seen:
+            continue
+        orbit = {map_entries(g, index.entries) for g in symmetries}
+        if any(counts.get(image) != count for image in orbit):
+            raise IntegrityError(
+                f"the orbit of {index.format()} in the k={table.k}, d={table.d} "
+                f"table does not have the one count {count}"
+            )
+        seen |= orbit
+        orbits.append((index, len(orbit) * count))
+    _ORBIT_CACHE[(table.k, table.d)] = orbits
+    return orbits
+
+
 _COVARIANCE_CACHE: dict[tuple[tuple[int, int], MomentModel, int], Fraction] = {}
 
 
@@ -69,7 +101,13 @@ def limiting_covariance(powers: tuple[int, int], model: MomentModel, d: int) -> 
     E[x^(alpha + beta_delta)] - E[x^alpha] E[x^beta], so the integer weights
     are tallied per sorted exponent tuple of the joint monomial and per pair
     of exponent tuples, and moments enter once per tuple at the end.
-    Memoized per (sorted powers, model, d) after the budget checks.
+
+    A point symmetry g leaves both tables, their counts and every pair's
+    offset sum unchanged, so the classes alpha of one orbit contribute
+    equally: alpha runs over one representative per orbit of the table with
+    more classes, weighted by the orbit's total count, against every class
+    beta of the other table. Memoized per (sorted powers, model, d) after
+    the budget checks.
     """
     k, l = powers
     if k < 1 or l < 1:
@@ -80,10 +118,12 @@ def limiting_covariance(powers: tuple[int, int], model: MomentModel, d: int) -> 
     cached = _COVARIANCE_CACHE.get(key)
     if cached is not None:
         return cached
+    if len(left_table.counts) < len(right_table.counts):
+        left_table, right_table = right_table, left_table
 
     joint: dict[tuple[int, ...], int] = {}
     separate: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for left, count_left in left_table.counts.items():
+    for left, count_left in _orbits(left_table):
         left_map = left.to_map()
         for right, count_right in right_table.counts.items():
             weight = count_left * count_right

@@ -13,6 +13,16 @@ map, site -> gaps there. A map with n_s gaps at site s carries the profile
 e in prod_s C(e_s + n_s - 1, n_s - 1) ways (stars and bars), and its
 bounding box is the range of its walks.
 
+Only the reduced walks are enumerated: the empty walk, and the closed walks
+whose first hop is +e_1. For each unit vector u, the signed axis map g_u of
+``lattice.first_hop_maps`` takes e_1 to u, so every other closed walk is the
+image of exactly one reduced walk under exactly one of the 2d maps, and the
+box [-L, L]^d is invariant under each of them. Consumers of the visit
+classes therefore count each non-empty class 2d times (``balanced_census``,
+``hamiltonian.mean_trace_exact``), push its profiles through the 2d maps
+(``path_counts``), or pull the wanted profile back through them
+(``truncated_coefficient``).
+
 ``path_counts`` tallies these integer weights per translation class of the
 profile: the bulk coefficients of the site monomials in the trace of the
 k-th power of a finite-volume operator. ``truncated_coefficient`` gives the
@@ -31,10 +41,13 @@ from typing import Iterator, NamedTuple
 
 from .budget import check_budget
 from .lattice import MultiIndex, Point, adjacent, canonicalize, l1_ball
+from .lattice import first_hop_maps, map_entries, map_point
 
 
 class VisitClass(NamedTuple):
-    """The closed hop walks from the origin that share one visit map.
+    """The reduced closed hop walks from the origin that share one visit map
+    (see the module docstring); a class with ``hops`` > 0 stands for itself
+    and its images under the other 2d - 1 first-hop maps.
 
     ``sites`` are the visited sites sorted lexicographically, ``gaps[i]`` the
     number of gaps at ``sites[i]`` (they sum to ``hops + 1``), ``walks`` the
@@ -57,7 +70,8 @@ def _check_strings(k: int, d: int) -> None:
 
 
 def _closed_walks(max_hops: int, d: int) -> tuple[list, int, list[dict[int, int]]]:
-    """Closed hop walks from the origin with at most ``max_hops`` (even) hops.
+    """Reduced closed hop walks from the origin (the empty walk and those
+    whose first hop is +e_1) with at most ``max_hops`` (even) hops.
 
     Returns the L1 ball of radius max_hops // 2 (the farthest such a walk
     gets), the bits per site, and per hop count j a tally of the walks by
@@ -77,6 +91,7 @@ def _closed_walks(max_hops: int, d: int) -> tuple[list, int, list[dict[int, int]
         for site in ball
     ]
     tallies: list[dict[int, int]] = [{} for _ in range(max_hops + 1)]
+    tallies[0][1] = 1
 
     def recurse(i: int, remaining: int, key: int) -> None:
         if i == 0:
@@ -93,7 +108,9 @@ def _closed_walks(max_hops: int, d: int) -> tuple[list, int, list[dict[int, int]
             if norm <= left:
                 recurse(moved, left, key + unit)
 
-    recurse(0, max_hops, 1)
+    if max_hops:
+        e1 = index[(1,) + (0,) * (d - 1)]
+        recurse(e1, max_hops - 1, 1 + (1 << (bits * e1)))
     return ball, bits, tallies
 
 
@@ -117,8 +134,8 @@ def _classes(max_hops: int, d: int) -> Iterator[VisitClass]:
 
 
 def visit_classes(k: int, d: int, max_hops: int | None = None) -> Iterator[VisitClass]:
-    """Visit classes behind the balanced strings of length k in dimension d,
-    with at most ``max_hops`` hops (default k).
+    """Visit classes of the reduced walks behind the balanced strings of
+    length k in dimension d, with at most ``max_hops`` hops (default k).
 
     The budget is checked on every call, against the string count.
     """
@@ -212,9 +229,17 @@ def path_counts(k: int, d: int) -> PathCountTable:
         return cached
 
     tally: dict[tuple[tuple[Point, int], ...], int] = {}
+    reduced: dict[tuple[tuple[Point, int], ...], int] = {}
     for cls in visit_classes(k, d, max_hops=k - 1):
+        # the empty walk is its own image under every map
+        target = reduced if cls.hops else tally
         for _, key, strings in profiles(cls, k - cls.hops):
-            tally[key] = tally.get(key, 0) + strings
+            target[key] = target.get(key, 0) + strings
+    maps = first_hop_maps(d)
+    for key, strings in reduced.items():
+        for g in maps:
+            image = map_entries(g, key)
+            tally[image] = tally.get(image, 0) + strings
     table = PathCountTable(k, d, {MultiIndex(d, key): n for key, n in tally.items()})
     _TABLE_CACHE[(k, d)] = table
     return table
@@ -234,19 +259,28 @@ def truncated_coefficient(index: MultiIndex, k: int, L: int) -> int:
         raise ValueError("the zero multi-index labels no monomial")
     if L < 1:
         raise ValueError(f"box radius must be >= 1, got {L}")
-    target, _ = canonicalize(index)
+    # ``index`` pulled back through each first-hop map g (the identity
+    # first; g is its own inverse): the lex-min point of g(index), listed
+    # under its class
+    pulled: dict[tuple, list[Point]] = {}
+    for g in first_hop_maps(index.d):
+        lowest = min(map_point(g, p) for p, _ in index.entries)
+        pulled.setdefault(map_entries(g, index.entries), []).append(lowest)
     found = 0
-    for cls in visit_classes(k, index.d, max_hops=k - target.total_exponent()):
+    for cls in visit_classes(k, index.d, max_hops=k - index.total_exponent()):
         for anchor, key, strings in profiles(cls, k - cls.hops):
-            if key != target.entries:
+            targets = pulled.get(key)
+            if targets is None:
                 continue
-            # the translation taking this profile onto ``index``
-            move = tuple(map(sub, index.entries[0][0], anchor))
-            if all(
-                -L <= lo + m and hi + m <= L
-                for lo, hi, m in zip(cls.lows, cls.highs, move)
-            ):
-                found += strings
+            # the empty walk has no other images
+            for target in targets if cls.hops else targets[:1]:
+                # the translation taking this profile onto g(index)
+                move = tuple(map(sub, target, anchor))
+                if all(
+                    -L <= lo + m and hi + m <= L
+                    for lo, hi, m in zip(cls.lows, cls.highs, move)
+                ):
+                    found += strings
     return found
 
 
@@ -264,5 +298,9 @@ def balanced_census(k: int, d: int) -> Census:
     """
     _check_strings(k, d)
     _, _, tallies = _closed_walks(k - k % 2, d)
-    strings = [comb(k, j) * sum(tally.values()) for j, tally in enumerate(tallies)]
+    # every non-empty reduced walk stands for 2d closed walks
+    strings = [
+        comb(k, j) * sum(tally.values()) * (2 * d if j else 1)
+        for j, tally in enumerate(tallies)
+    ]
     return Census(sum(strings), sum(strings[:k]))

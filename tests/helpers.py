@@ -5,7 +5,8 @@ strings are their own types defined below, enumerated with itertools and
 checked one at a time; traces come from dense eigendecompositions;
 expected traces and the symbolic expansion of Tr H^k come from a literal
 (string, anchor) double loop; offset covariance sums visit every overlapping
-translate one at a time. They are slow and only meant for small instances.
+translate one at a time, each through the direct monomial covariance.
+They are slow and only meant for small instances.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from andersonstats import (
     Poly,
     SampledHamiltonian,
     canonicalize,
-    monomial_covariance,
     monomial_expectation,
 )
 
@@ -227,6 +227,18 @@ def symbolic_trace(k: int, box: BoxSpec) -> SymbolicTrace:
         1 for profile, _ in _anchored_profiles(k, box.d, box.L) if profile.is_zero
     )
     return SymbolicTrace(k, box, dict(brute_truncated_table(k, box.d, box.L)), constant)
+
+
+def monomial_covariance(
+    model: MomentModel, left: MultiIndex, right: MultiIndex, offset: Point
+) -> Fraction:
+    """Exact covariance of the monomials of ``left`` and ``right`` shifted by
+    ``offset``; exactly zero when their supports are disjoint."""
+    shifted = right.shift(offset)
+    if not set(left.support()) & set(shifted.support()):
+        return Fraction(0)
+    joint = monomial_expectation(model, left + shifted)
+    return joint - monomial_expectation(model, left) * monomial_expectation(model, shifted)
 
 
 def offset_covariance_sum(

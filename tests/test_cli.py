@@ -244,11 +244,11 @@ def test_report_with_rich_support_has_no_certificates(capsys):
 
 
 def test_verification_mismatch_exits_one(capsys, monkeypatch):
-    import andersonstats.cli as cli_module
+    import andersonstats.table as table_module
     from andersonstats.table import TableVerification
 
     broken = TableVerification(1, False, rows=[], diffs=["k=3: class delta missing"])
-    monkeypatch.setattr(cli_module, "verify_reference_table", lambda d: broken)
+    monkeypatch.setattr(table_module, "verify_reference_table", lambda d: broken)
     code, out, _ = run_cli(capsys, "verify-table", "--d", "1")
     assert code == 1
     assert out["match"] is False and out["diffs"]
@@ -289,16 +289,15 @@ EXACT_COMMANDS = [
 ]
 
 
-def test_exact_commands_load_neither_numpy_nor_scipy():
-    # the exact layer is integer and Fraction code; a fresh interpreter that
-    # runs every exact command must never import the sampling libraries
-    probe = (
-        "import contextlib, io, sys, andersonstats, andersonstats.cli\n"
-        f"for argv in {EXACT_COMMANDS!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert andersonstats.cli.main(argv) == 0, argv\n"
-        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
-    )
+# per exact command: the andersonstats layers it must not load, on top of
+# the Monte Carlo layer, which no exact command loads
+NOT_LOADED = {
+    "pathcount": ("variance", "hamiltonian"),
+    "verify-table": ("variance", "hamiltonian"),
+}
+
+
+def _fresh_interpreter(probe: str) -> str:
     source = str(Path(andersonstats.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
@@ -306,4 +305,40 @@ def test_exact_commands_load_neither_numpy_nor_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_exact_commands_load_neither_numpy_nor_scipy():
+    # the exact layer is integer and Fraction code; a fresh interpreter that
+    # runs one exact command must never import the sampling libraries, nor
+    # the package layers the command does not run
+    for argv in EXACT_COMMANDS:
+        probe = (
+            "import contextlib, io, sys, andersonstats, andersonstats.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert andersonstats.cli.main({argv!r}) == 0\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        loaded = set(_fresh_interpreter(probe).split())
+        unwanted = {"numpy", "scipy", "andersonstats.fluctuations"} | {
+            f"andersonstats.{layer}" for layer in NOT_LOADED.get(argv[0], ())
+        }
+        assert not unwanted & loaded, (argv, sorted(unwanted & loaded))
+
+
+def test_public_names_resolve_lazily():
+    # importing the package loads no submodule; every public name resolves
+    # on first use, and a star import brings in exactly the public names
+    probe = (
+        "import sys, andersonstats\n"
+        "print(sorted(m for m in sys.modules if m.startswith('andersonstats.')))\n"
+    )
+    assert _fresh_interpreter(probe) == "[]"
+    for name in andersonstats.__all__:
+        assert getattr(andersonstats, name) is not None, name
+    namespace: dict = {}
+    exec("from andersonstats import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(andersonstats.__all__)
+    assert set(andersonstats.__all__) <= set(dir(andersonstats))
+    with pytest.raises(AttributeError):
+        andersonstats.no_such_name

@@ -13,7 +13,6 @@ from andersonstats import (
     delta,
     format_distribution,
     moment,
-    monomial_covariance,
     monomial_expectation,
     parse_distribution,
     sample,
@@ -21,6 +20,7 @@ from andersonstats import (
 )
 
 from conftest import multi_indices, points
+from helpers import monomial_covariance
 
 UNIFORM = MomentModel.uniform_symmetric(1)
 GAUSSIAN = MomentModel.gaussian(1)

@@ -71,13 +71,15 @@ def test_offset_covariance_sum_adjacent_pair():
     assert offset_covariance_sum(pair, pair, UNIFORM) == Fraction(1, 9)
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_limiting_covariance_matches_offset_sums(d):
-    # the exponent-histogram route against the direct per-pair, per-offset
-    # sums of offset_covariance_sum
+    # the exponent-histogram route over orbit representatives against the
+    # direct per-pair, per-offset sums of offset_covariance_sum over every
+    # class pair; d=3 (48 point symmetries) up to power 4
+    powers = range(1, 5 if d == 3 else 7)
     for model in ALL_KINDS:
-        for k in range(1, 7):
-            for l in range(1, 7):
+        for k in powers:
+            for l in powers:
                 left, right = path_counts(k, d), path_counts(l, d)
                 expected = sum(
                     (
@@ -96,6 +98,21 @@ def test_limiting_covariance_memo_still_checks_budget(monkeypatch):
     monkeypatch.setenv("ANDERSON_BUDGET", "10")
     with pytest.raises(BudgetExceededError):
         limiting_covariance((3, 4), UNIFORM, 2)
+
+
+def test_asymmetric_table_raises_integrity_error(monkeypatch):
+    # a table whose counts differ within one point-symmetry orbit cannot
+    # be folded by orbit representatives; the loop must say so, not guess
+    import andersonstats.variance as variance_module
+    from andersonstats import IntegrityError, PathCountTable
+
+    counts = dict(path_counts(5, 2).counts)
+    counts[MultiIndex.from_map(2, {(0, 0): 2, (1, 0): 1})] += 1
+    monkeypatch.setattr(variance_module, "path_counts", lambda k, d: PathCountTable(k, d, counts))
+    monkeypatch.setattr(variance_module, "_ORBIT_CACHE", {})
+    monkeypatch.setattr(variance_module, "_COVARIANCE_CACHE", {})
+    with pytest.raises(IntegrityError):
+        limiting_covariance((5, 5), UNIFORM, 2)
 
 
 def test_limiting_covariance_base_cases():

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from math import comb, factorial
 
 import pytest
@@ -13,6 +13,7 @@ from andersonstats import (
     balanced_census,
     canonicalize,
     delta,
+    fold_key,
     path_counts,
     truncated_coefficient,
 )
@@ -103,10 +104,36 @@ def test_path_counts_k5_d2():
 @pytest.mark.parametrize(
     "k,d",
     [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2)]
-    + [(2, 3), (3, 3), (4, 3), (5, 3)],
+    + [(2, 3), (3, 3), (4, 3), (5, 3), (7, 2), (6, 3)],
 )
 def test_path_counts_match_brute_force(k, d):
     assert path_counts(k, d).counts == brute_path_counts(k, d)
+
+
+@pytest.mark.parametrize("k,d", [(10, 1), (8, 2), (6, 3)])
+def test_point_symmetry_orbits_partition_the_table(k, d):
+    # the classes with one fold key are exactly the images of any one of them
+    # under the 2^d d! signed axis permutations, built here from scratch, and
+    # they share one count: the invariance the symmetric routes rely on
+    table = path_counts(k, d)
+    groups: dict[tuple, dict[MultiIndex, int]] = {}
+    for index, count in table.counts.items():
+        groups.setdefault(fold_key(index), {})[index] = count
+    assert sum(len(members) for members in groups.values()) == len(table.counts)
+    for members in groups.values():
+        index = next(iter(members))
+        orbit = {
+            canonicalize(
+                MultiIndex.from_map(
+                    d,
+                    {tuple(s * p[i] for s, i in zip(signs, perm)): e for p, e in index.entries},
+                )
+            )[0]
+            for perm in permutations(range(d))
+            for signs in product((1, -1), repeat=d)
+        }
+        assert set(members) == orbit
+        assert len(set(members.values())) == 1
 
 
 def test_census_examples():
@@ -212,7 +239,8 @@ def test_truncated_coefficient_rejects_zero_index():
 @pytest.mark.parametrize(
     "k,L,d",
     [pytest.param(k, L, 1, id=f"{k}-{L}") for k, L in [(1, 2), (2, 2), (3, 2), (3, 3), (4, 3)]]
-    + [pytest.param(k, L, 2, id=f"{k}-{L}-d2") for k, L in [(2, 1), (3, 1), (4, 1), (4, 2), (5, 2)]],
+    + [pytest.param(k, L, 2, id=f"{k}-{L}-d2") for k, L in [(2, 1), (3, 1), (4, 1), (4, 2), (5, 2)]]
+    + [pytest.param(k, L, 3, id=f"{k}-{L}-d3") for k, L in [(2, 1), (3, 1), (4, 1), (4, 2), (5, 1)]],
 )
 def test_truncated_coefficient_matches_brute_force(k, L, d):
     table = path_counts(k, d)
