@@ -155,10 +155,17 @@ def _run_simulation(args):
     return run_experiment(p, model, args.d, args.L, args.samples, args.seed)
 
 
+def _write_out(report, path) -> None:
+    try:
+        report.write_csv(path)
+    except OSError as exc:  # an --out that cannot be written is a usage error
+        raise ValueError(f"cannot write --out {path!r}: {exc.strerror or exc}") from None
+
+
 def _cmd_simulate(args) -> int:
     report = _run_simulation(args)
     if args.out:
-        report.write_csv(args.out)
+        _write_out(report, args.out)
     _emit(report.to_json_dict())
     return EXIT_OK
 
@@ -185,7 +192,7 @@ def _cmd_report(args) -> int:
         )
     simulation = _run_simulation(args)
     if args.out:
-        simulation.write_csv(args.out)
+        _write_out(simulation, args.out)
     _emit(
         {
             "table_verification": verification.to_json_dict(),
@@ -196,10 +203,10 @@ def _cmd_report(args) -> int:
     return EXIT_OK if verification.match and all_zero else EXIT_MISMATCH
 
 
-def _add_dist(parser, required=True):
+def _add_dist(parser):
     parser.add_argument(
         "--dist",
-        required=required,
+        required=True,
         help="distribution: discrete:v1@w1,v2@w2,... | uniform:w | gaussian:v",
     )
 

@@ -7,9 +7,9 @@ non-zero translation class has a unique canonical representative whose
 lexicographically smallest support point is the origin.
 
 The point symmetries of Z^d are the 2^d d! signed axis permutations. They
-map translation classes to translation classes; ``fold_key`` names the orbit
-of a class, and ``first_hop_maps`` lists the 2d symmetries that take the
-first unit vector e_1 to each unit vector.
+are reached only through their generators ``first_hop_maps`` (the 2d maps
+taking e_1 to each unit vector): ``orbit`` closes a translation class under
+them and ``fold_key`` names its orbit. L1 balls are grown without the cube.
 
 All values are immutable after construction and safe to share across
 threads. Lexicographic order on points compares coordinates left to right.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
 from operator import sub
 from typing import Mapping
 
@@ -171,12 +170,12 @@ def canonicalize(index: MultiIndex) -> tuple[MultiIndex, Point]:
 
 def l1_ball(d: int, r: int) -> list[Point]:
     """Points of Z^d with L1 norm <= r, ordered by norm, so that every
-    smaller ball is a prefix of the list (the origin first)."""
-    norm = lambda point: sum(map(abs, point))
-    return sorted(
-        (point for point in product(range(-r, r + 1), repeat=d) if norm(point) <= r),
-        key=norm,
-    )
+    smaller ball is a prefix of the list (the origin first), and each norm
+    in lexicographic order. Grown axis by axis from prefixes of norm <= r."""
+    ball: list[tuple[Point, int]] = [((), 0)]
+    for _ in range(d):
+        ball = [(p + (c,), n + abs(c)) for p, n in ball for c in range(n - r, r - n + 1)]
+    return [point for point, _ in sorted(ball, key=lambda item: item[1])]
 
 
 def adjacent(point: Point) -> list[Point]:
@@ -189,20 +188,10 @@ def adjacent(point: Point) -> list[Point]:
 
 
 @lru_cache(maxsize=None)
-def point_symmetries(d: int) -> tuple[Symmetry, ...]:
-    """The 2^d d! signed axis permutations of Z^d."""
-    return tuple(
-        (perm, signs)
-        for perm in permutations(range(d))
-        for signs in product((1, -1), repeat=d)
-    )
-
-
-@lru_cache(maxsize=None)
 def first_hop_maps(d: int) -> tuple[Symmetry, ...]:
     """One symmetry g_u per unit vector u = s e_a with g_u(e_1) = u, each its
     own inverse: x_1 -> s x_1 if a = 1, else x_1 -> s x_a and x_a -> s x_1.
-    The identity comes first."""
+    The identity comes first. They generate all 2^d d! point symmetries."""
     maps = []
     for axis in range(d):
         perm = list(range(d))
@@ -229,9 +218,23 @@ def map_entries(symmetry: Symmetry, entries: tuple) -> tuple:
     return tuple([(tuple(map(sub, p, anchor)), e) for p, e in mapped])
 
 
+def orbit(entries: tuple) -> set[tuple]:
+    """Canonical entries of the images of the non-zero translation class
+    with these entries under the point symmetries: its closure under
+    ``first_hop_maps``, at 2d map applications per image."""
+    maps = first_hop_maps(len(entries[0][0]))
+    images: set[tuple] = set()
+    found = [entries]
+    for current in found:  # each new image joins the list being read
+        new = {map_entries(g, current) for g in maps} - images
+        images |= new
+        found += new
+    return images
+
+
 def fold_key(index: MultiIndex) -> tuple:
     """Orbit key of the translation class under the point symmetries: the
     lexicographically smallest canonical entries of its images."""
     if index.is_zero:
         raise ValueError("the zero multi-index has no fold key")
-    return min(map_entries(g, index.entries) for g in point_symmetries(index.d))
+    return min(orbit(index.entries))

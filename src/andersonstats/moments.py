@@ -45,7 +45,10 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"not an exact rational: {value!r}")
 
 
@@ -187,12 +190,12 @@ def parse_distribution(text: str) -> MomentModel:
             value, at, weight = item.partition("@")
             if not at:
                 raise ValueError(f"malformed atom {item!r}: expected 'value@weight'")
-            atoms.append((Fraction(value.strip()), Fraction(weight.strip())))
+            atoms.append((value.strip(), weight.strip()))
         return MomentModel.discrete(atoms)
     if kind == UNIFORM:
-        return MomentModel.uniform_symmetric(Fraction(tail.strip()))
+        return MomentModel.uniform_symmetric(tail.strip())
     if kind == GAUSSIAN:
-        return MomentModel.gaussian(Fraction(tail.strip()))
+        return MomentModel.gaussian(tail.strip())
     raise ValueError(f"unknown distribution kind {head!r}")
 
 

@@ -36,7 +36,10 @@ class Poly:
 
     @classmethod
     def parse(cls, text: str) -> "Poly":
-        return cls.from_coeffs(Fraction(part.strip()) for part in text.split(","))
+        try:
+            return cls.from_coeffs(Fraction(part.strip()) for part in text.split(","))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in polynomial {text!r}") from None
 
     def format(self) -> str:
         if not self.coeffs:

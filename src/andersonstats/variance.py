@@ -17,7 +17,8 @@ those exponent tuples; the model's moments are evaluated once per key at
 the end. Both tables and their counts are invariant under the point
 symmetries of Z^d, and so is each pair's offset sum, so the outer loop runs
 over one representative per orbit of classes, weighted by the orbit's size.
-The test suite keeps the direct per-pair, per-offset sum as an oracle.
+The histograms are memoized per (sorted powers, d) for every law, and the
+value per law. Tests keep the direct per-pair, per-offset sum as an oracle.
 
 Everything here is pure rational arithmetic; no epsilon appears anywhere.
 """
@@ -26,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from operator import add, sub
 
-from .lattice import MultiIndex, Point, delta, map_entries, point_symmetries
+from .lattice import MultiIndex, Point, delta, orbit
 from .moments import (
     MomentModel,
     moment_product,
@@ -37,7 +39,7 @@ from .moments import (
     support_class,
 )
 from .poly import Poly
-from .walks import PathCountTable, path_counts
+from .walks import path_counts
 
 
 class IntegrityError(RuntimeError):
@@ -58,37 +60,67 @@ def _overlapping_offsets(left_sites, right_sites) -> set[Point]:
     return {tuple(map(sub, p, q)) for p in left_sites for q in right_sites}
 
 
-_ORBIT_CACHE: dict[tuple[int, int], list[tuple[MultiIndex, int]]] = {}
-
-
-def _orbits(table: PathCountTable) -> list[tuple[MultiIndex, int]]:
-    """One class per orbit of the table's classes under the point symmetries,
-    with the orbit's total count (its size times the common class count).
-    Memoized per (k, d); an orbit whose images are not all in the table with
-    one count raises ``IntegrityError``."""
-    cached = _ORBIT_CACHE.get((table.k, table.d))
-    if cached is not None:
-        return cached
+@lru_cache(maxsize=None)
+def _orbits(k: int, d: int) -> tuple[tuple[MultiIndex, int], ...]:
+    """One class per orbit of the (k, d) table's classes under the point
+    symmetries, with the orbit's total count (its size times the common
+    class count). An orbit whose images are not all in the table with one
+    count raises ``IntegrityError``."""
+    table = path_counts(k, d)
     counts = {index.entries: count for index, count in table.counts.items()}
-    symmetries = point_symmetries(table.d)
     seen: set[tuple] = set()
     orbits = []
     for index, count in table.counts.items():
         if index.entries in seen:
             continue
-        orbit = {map_entries(g, index.entries) for g in symmetries}
-        if any(counts.get(image) != count for image in orbit):
+        images = orbit(index.entries)
+        if any(counts.get(image) != count for image in images):
             raise IntegrityError(
-                f"the orbit of {index.format()} in the k={table.k}, d={table.d} "
+                f"the orbit of {index.format()} in the k={k}, d={d} "
                 f"table does not have the one count {count}"
             )
-        seen |= orbit
-        orbits.append((index, len(orbit) * count))
-    _ORBIT_CACHE[(table.k, table.d)] = orbits
-    return orbits
+        seen |= images
+        orbits.append((index, len(images) * count))
+    return tuple(orbits)
 
 
-_COVARIANCE_CACHE: dict[tuple[tuple[int, int], MomentModel, int], Fraction] = {}
+@lru_cache(maxsize=None)
+def _weights(k: int, l: int, d: int) -> tuple[tuple, tuple]:
+    """The law-free (key, weight) tallies of the (k, l) covariance, k <= l:
+    per sorted joint exponent tuple, and per pair of factor tuples."""
+    if len(path_counts(k, d).counts) < len(path_counts(l, d).counts):
+        k, l = l, k
+    right_table = path_counts(l, d)
+    joint: dict[tuple[int, ...], int] = {}
+    separate: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    for left, count_left in _orbits(k, d):
+        left_map = left.to_map()
+        for right, count_right in right_table.counts.items():
+            weight = count_left * count_right
+            offsets = _overlapping_offsets(left_map, right.support())
+            for offset in offsets:
+                merged = dict(left_map)
+                for point, e in right.entries:
+                    site = tuple(map(add, point, offset))
+                    merged[site] = merged.get(site, 0) + e
+                exponents = tuple(sorted(merged.values()))
+                joint[exponents] = joint.get(exponents, 0) + weight
+            pair = (
+                tuple(sorted(left_map.values())),
+                tuple(sorted(e for _, e in right.entries)),
+            )
+            separate[pair] = separate.get(pair, 0) + weight * len(offsets)
+    return tuple(joint.items()), tuple(separate.items())
+
+
+@lru_cache(maxsize=None)
+def _covariance(k: int, l: int, model: MomentModel, d: int) -> Fraction:
+    """The (k, l) covariance under ``model``, k <= l."""
+    joint, separate = _weights(k, l, d)
+    return sum(weight * moment_product(model, e) for e, weight in joint) - sum(
+        weight * moment_product(model, a) * moment_product(model, b)
+        for (a, b), weight in separate
+    )
 
 
 def limiting_covariance(powers: tuple[int, int], model: MomentModel, d: int) -> Fraction:
@@ -106,47 +138,15 @@ def limiting_covariance(powers: tuple[int, int], model: MomentModel, d: int) -> 
     offset sum unchanged, so the classes alpha of one orbit contribute
     equally: alpha runs over one representative per orbit of the table with
     more classes, weighted by the orbit's total count, against every class
-    beta of the other table. Memoized per (sorted powers, model, d) after
-    the budget checks.
+    beta of the other table. After the budget checks, the weights are
+    memoized per (sorted powers, d) for every law, and the value per law.
     """
-    k, l = powers
-    if k < 1 or l < 1:
+    k, l = sorted(powers)
+    if k < 1:
         raise ValueError("powers must be >= 1")
-    left_table = path_counts(k, d)
-    right_table = path_counts(l, d)
-    key = ((min(k, l), max(k, l)), model, d)
-    cached = _COVARIANCE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if len(left_table.counts) < len(right_table.counts):
-        left_table, right_table = right_table, left_table
-
-    joint: dict[tuple[int, ...], int] = {}
-    separate: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for left, count_left in _orbits(left_table):
-        left_map = left.to_map()
-        for right, count_right in right_table.counts.items():
-            weight = count_left * count_right
-            offsets = _overlapping_offsets(left_map, right.support())
-            for offset in offsets:
-                merged = dict(left_map)
-                for point, e in right.entries:
-                    site = tuple(map(add, point, offset))
-                    merged[site] = merged.get(site, 0) + e
-                exponents = tuple(sorted(merged.values()))
-                joint[exponents] = joint.get(exponents, 0) + weight
-            pair = (
-                tuple(sorted(left_map.values())),
-                tuple(sorted(e for _, e in right.entries)),
-            )
-            separate[pair] = separate.get(pair, 0) + weight * len(offsets)
-
-    total = sum(weight * moment_product(model, e) for e, weight in joint.items()) - sum(
-        weight * moment_product(model, a) * moment_product(model, b)
-        for (a, b), weight in separate.items()
-    )
-    _COVARIANCE_CACHE[key] = total
-    return total
+    path_counts(k, d)  # the budget checks, memo or not
+    path_counts(l, d)
+    return _covariance(k, l, model, d)
 
 
 def covariance_entries(max_power: int, model: MomentModel, d: int) -> list[LimitCovariance]:

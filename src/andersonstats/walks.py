@@ -213,21 +213,19 @@ class PathCountTable:
         }
 
 
-_TABLE_CACHE: dict[tuple[int, int], PathCountTable] = {}
-
-
 def path_counts(k: int, d: int) -> PathCountTable:
     """Tally balanced strings of length k by canonical profile class.
 
     Counts are invariant under translating the profile, so the table is
-    indexed by canonical representatives. Memoized per (k, d); the budget is
-    still checked on every call so resource errors are deterministic.
+    indexed by canonical representatives. Built once per (k, d); the budget
+    is still checked on every call so resource errors are deterministic.
     """
     _check_strings(k, d)
-    cached = _TABLE_CACHE.get((k, d))
-    if cached is not None:
-        return cached
+    return _path_counts(k, d)
 
+
+@lru_cache(maxsize=None)
+def _path_counts(k: int, d: int) -> PathCountTable:
     tally: dict[tuple[tuple[Point, int], ...], int] = {}
     reduced: dict[tuple[tuple[Point, int], ...], int] = {}
     for cls in visit_classes(k, d, max_hops=k - 1):
@@ -240,9 +238,7 @@ def path_counts(k: int, d: int) -> PathCountTable:
         for g in maps:
             image = map_entries(g, key)
             tally[image] = tally.get(image, 0) + strings
-    table = PathCountTable(k, d, {MultiIndex(d, key): n for key, n in tally.items()})
-    _TABLE_CACHE[(k, d)] = table
-    return table
+    return PathCountTable(k, d, {MultiIndex(d, key): n for key, n in tally.items()})
 
 
 def truncated_coefficient(index: MultiIndex, k: int, L: int) -> int:

@@ -158,6 +158,35 @@ def test_malformed_poly_is_usage_error(capsys):
     assert code == 2 and err["error"]["type"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "poly,dist",
+    [("0,1/0", "uniform:1"), ("0,0,1", "uniform:1/0"), ("0,0,1", "discrete:1@1/0")],
+)
+def test_zero_denominator_is_usage_error(capsys, poly, dist):
+    code, out, err = run_cli(capsys, "variance", "--poly", poly, "--dist", dist, "--d", "1")
+    assert code == 2 and out is None
+    assert err["error"]["type"] == "usage"
+    assert "zero denominator" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, command):
+    out_file = tmp_path / "missing" / "samples.csv"
+    code, out, err = run_cli(
+        capsys,
+        command,
+        "--poly", "0,0,1",
+        "--dist", "uniform:1",
+        "--d", "1",
+        "--L", "5",
+        "--samples", "50",
+        "--out", str(out_file),
+    )
+    assert code == 2 and out is None
+    assert err["error"]["type"] == "usage"
+    assert str(out_file) in err["error"]["message"]
+
+
 # each command's first enumeration beyond a budget of 10 and its string count
 @pytest.mark.parametrize(
     "argv,required",

@@ -182,6 +182,13 @@ def test_mean_trace_square_three_site_chain():
     assert mean_trace_exact(2, BoxSpec(1, 1), UNIFORM) == 5
 
 
+def test_mean_trace_square_in_high_dimension():
+    # 3^20 sites with E[V^2] = 1/3 and 2 d 3^19 (3 - 1) ordered neighbour
+    # pairs: 3^19 + 80 3^19 = 3^23, from walks in the 41-point unit ball of
+    # Z^20 rather than the 3^20 points of its cube
+    assert mean_trace_exact(2, BoxSpec(20, 1), UNIFORM) == 3**23
+
+
 def test_mean_trace_odd_powers_vanish_for_symmetric_models():
     for model in (UNIFORM, GAUSSIAN, TWO_POINT):
         for k in (1, 3, 5):

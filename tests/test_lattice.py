@@ -1,12 +1,46 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from andersonstats import MultiIndex, canonicalize, delta
+from andersonstats import MultiIndex, canonicalize, delta, fold_key
+from andersonstats.hamiltonian import _l1_ball_size
+from andersonstats.lattice import l1_ball, orbit
 
 from conftest import multi_indices, points
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_l1_ball_is_the_norm_sorted_cube_filter(d):
+    norm = lambda point: sum(map(abs, point))
+    for r in range(6):
+        cube = product(range(-r, r + 1), repeat=d)
+        assert l1_ball(d, r) == sorted((p for p in cube if norm(p) <= r), key=norm)
+
+
+def test_l1_ball_size_matches_the_closed_form():
+    for d in range(1, 31):
+        for r in range(3):
+            assert len(l1_ball(d, r)) == _l1_ball_size(d, r)
+
+
+def test_orbit_sizes_in_high_dimension():
+    # the point group of Z^12 has 2^12 12! elements; its orbits are reached
+    # through the 24 first-hop generators alone
+    d = 12
+    e = (1,) + (0,) * (d - 1)
+    origin = (0,) * d
+    pair = MultiIndex.from_map(d, {origin: 1, e: 1})
+    assert len(orbit(pair.entries)) == d
+    weighted = MultiIndex.from_map(d, {origin: 2, e: 1})
+    images = orbit(weighted.entries)
+    assert len(images) == 2 * d
+    assert fold_key(weighted) == min(images)
+    assert fold_key(MultiIndex.from_map(d, {origin: 1, e: 2})) == fold_key(weighted)
+    assert orbit(delta(d, e, 3).entries) == {delta(d, origin, 3).entries}
 
 
 def test_delta_single_site():

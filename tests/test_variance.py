@@ -22,6 +22,8 @@ from andersonstats import (
     support_class,
 )
 
+import andersonstats.variance as variance_module
+
 from helpers import offset_covariance_sum, random_discrete_model, random_poly
 
 UNIFORM = MomentModel.uniform_symmetric(1)
@@ -100,19 +102,39 @@ def test_limiting_covariance_memo_still_checks_budget(monkeypatch):
         limiting_covariance((3, 4), UNIFORM, 2)
 
 
+def _clear_covariance_memos():
+    for memo in (variance_module._orbits, variance_module._weights, variance_module._covariance):
+        memo.cache_clear()
+
+
 def test_asymmetric_table_raises_integrity_error(monkeypatch):
     # a table whose counts differ within one point-symmetry orbit cannot
     # be folded by orbit representatives; the loop must say so, not guess
-    import andersonstats.variance as variance_module
     from andersonstats import IntegrityError, PathCountTable
 
     counts = dict(path_counts(5, 2).counts)
     counts[MultiIndex.from_map(2, {(0, 0): 2, (1, 0): 1})] += 1
     monkeypatch.setattr(variance_module, "path_counts", lambda k, d: PathCountTable(k, d, counts))
-    monkeypatch.setattr(variance_module, "_ORBIT_CACHE", {})
-    monkeypatch.setattr(variance_module, "_COVARIANCE_CACHE", {})
-    with pytest.raises(IntegrityError):
-        limiting_covariance((5, 5), UNIFORM, 2)
+    _clear_covariance_memos()
+    try:
+        with pytest.raises(IntegrityError):
+            limiting_covariance((5, 5), UNIFORM, 2)
+    finally:
+        _clear_covariance_memos()
+
+
+@pytest.mark.parametrize("d,max_power", [(1, 7), (2, 6), (3, 4)])
+def test_covariance_weights_do_not_depend_on_the_law(d, max_power):
+    # the memoized weights that a first law leaves behind give a second law
+    # exactly what a cold computation gives it, and the two laws differ
+    cold = {}
+    for model in (SKEWED, GAUSSIAN):
+        _clear_covariance_memos()
+        cold[model] = covariance_entries(max_power, model, d)
+    assert cold[SKEWED] != cold[GAUSSIAN]
+    _clear_covariance_memos()
+    covariance_entries(max_power, SKEWED, d)
+    assert covariance_entries(max_power, GAUSSIAN, d) == cold[GAUSSIAN]
 
 
 def test_limiting_covariance_base_cases():
@@ -171,7 +193,7 @@ def test_degenerate_basis_empty_for_rich_support():
     assert degenerate_basis(GAUSSIAN, 2) == []
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 9, 12])
 def test_zero_certificates_exact(d):
     rng = Random(100 + d)
     for n_atoms in (2, 3):

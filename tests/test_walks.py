@@ -17,6 +17,7 @@ from andersonstats import (
     path_counts,
     truncated_coefficient,
 )
+from andersonstats.lattice import orbit as lattice_orbit
 from andersonstats.walks import placements
 
 from conftest import points
@@ -110,11 +111,12 @@ def test_path_counts_match_brute_force(k, d):
     assert path_counts(k, d).counts == brute_path_counts(k, d)
 
 
-@pytest.mark.parametrize("k,d", [(10, 1), (8, 2), (6, 3)])
+@pytest.mark.parametrize("k,d", [(10, 1), (8, 2), (6, 3), (4, 4), (6, 4)])
 def test_point_symmetry_orbits_partition_the_table(k, d):
     # the classes with one fold key are exactly the images of any one of them
     # under the 2^d d! signed axis permutations, built here from scratch, and
-    # they share one count: the invariance the symmetric routes rely on
+    # they share one count: the invariance the symmetric routes rely on, and
+    # the oracle for ``lattice.orbit``, which closes under 2d generators
     table = path_counts(k, d)
     groups: dict[tuple, dict[MultiIndex, int]] = {}
     for index, count in table.counts.items():
@@ -133,6 +135,7 @@ def test_point_symmetry_orbits_partition_the_table(k, d):
             for signs in product((1, -1), repeat=d)
         }
         assert set(members) == orbit
+        assert lattice_orbit(index.entries) == {member.entries for member in orbit}
         assert len(set(members.values())) == 1
 
 
