@@ -2,18 +2,22 @@
 
 Commands are thin adapters over the library; no numeric logic lives here.
 All JSON payloads carry ``schema_version`` and serialize rationals as
-strings like ``"4/45"``. Exit codes: 0 success, 1 verification mismatch,
-2 usage error, 3 resource budget exceeded. Errors are emitted as JSON on
-stderr. The ``ANDERSON_BUDGET`` environment variable (a positive decimal
-integer, default 10^9) is the only setting of the enumeration and memory
-budgets; any other value is a usage error. Each command imports only the
-layers it runs, inside its handler, so that an exact command loads neither
-the Monte Carlo layer nor numpy.
+strings like ``"4/45"``. Exit codes: 0 success, 1 verification mismatch or
+integrity error (two exact routes disagreed), 2 usage error, 3 resource
+budget exceeded. Errors are emitted as JSON on stderr. ``verify-table``
+accepts any dimension d >= 1; a discrete law needs at least two atoms.
+``simulate`` and ``report`` open ``--out`` before any work, creating or
+truncating it as shell redirection does. The ``ANDERSON_BUDGET``
+environment variable (a positive decimal integer, default 10^9) is the only
+setting of the enumeration and memory budgets; any other value is a usage
+error. Each command imports only the layers it runs, inside its handler, so
+that an exact command loads neither the Monte Carlo layer nor numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -155,17 +159,22 @@ def _run_simulation(args):
     return run_experiment(p, model, args.d, args.L, args.samples, args.seed)
 
 
-def _write_out(report, path) -> None:
+def _open_out(path):
+    """The ``--out`` file (or a null context without one), opened before any
+    work; a path that cannot be opened for writing is a usage error."""
+    if not path:
+        return contextlib.nullcontext()
     try:
-        report.write_csv(path)
-    except OSError as exc:  # an --out that cannot be written is a usage error
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
         raise ValueError(f"cannot write --out {path!r}: {exc.strerror or exc}") from None
 
 
 def _cmd_simulate(args) -> int:
-    report = _run_simulation(args)
-    if args.out:
-        _write_out(report, args.out)
+    with _open_out(args.out) as out:
+        report = _run_simulation(args)
+        if out:
+            report.write_csv(out)
     _emit(report.to_json_dict())
     return EXIT_OK
 
@@ -175,24 +184,25 @@ def _cmd_report(args) -> int:
     from .table import verify_reference_table
     from .variance import classify, degenerate_basis, sigma_squared
 
-    verification = verify_reference_table(args.d)
-    model = parse_distribution(args.dist)
-    certificates = []
-    all_zero = True
-    for q in degenerate_basis(model, args.d):
-        value = sigma_squared(q, model, args.d)
-        all_zero = all_zero and value == 0
-        certificates.append(
-            {
-                "degree": q.degree,
-                "poly": q.format(),
-                "sigma_squared": str(value),
-                "classification": classify(q, model, args.d),
-            }
-        )
-    simulation = _run_simulation(args)
-    if args.out:
-        _write_out(simulation, args.out)
+    with _open_out(args.out) as out:
+        verification = verify_reference_table(args.d)
+        model = parse_distribution(args.dist)
+        certificates = []
+        all_zero = True
+        for q in degenerate_basis(model, args.d):
+            value = sigma_squared(q, model, args.d)
+            all_zero = all_zero and value == 0
+            certificates.append(
+                {
+                    "degree": q.degree,
+                    "poly": q.format(),
+                    "sigma_squared": str(value),
+                    "classification": classify(q, model, args.d),
+                }
+            )
+        simulation = _run_simulation(args)
+        if out:
+            simulation.write_csv(out)
     _emit(
         {
             "table_verification": verification.to_json_dict(),
@@ -236,7 +246,7 @@ def build_parser() -> _Parser:
     sub.set_defaults(handler=_cmd_pathcount)
 
     sub = commands.add_parser("verify-table", help="check lengths 1..5 against the reference table")
-    sub.add_argument("--d", type=int, required=True, choices=(1, 2, 3))
+    sub.add_argument("--d", type=int, required=True)
     sub.set_defaults(handler=_cmd_verify_table)
 
     sub = commands.add_parser("variance", help="exact limiting variance of a polynomial")
@@ -293,6 +303,13 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         _emit_error("resource", str(exc))
         return EXIT_RESOURCE
+    except RuntimeError as exc:
+        from .variance import IntegrityError  # loaded only on this error path
+
+        if not isinstance(exc, IntegrityError):
+            raise
+        _emit_error("integrity", str(exc))
+        return EXIT_MISMATCH
     except ValueError as exc:
         _emit_error("usage", str(exc))
         return EXIT_USAGE

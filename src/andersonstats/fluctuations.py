@@ -105,11 +105,14 @@ class FluctuationReport:
             "samples": [float(x) for x in self.samples],
         }
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("index,value\n")
-            for i, value in enumerate(self.samples):
-                handle.write(f"{i},{float(value)!r}\n")
+    def write_csv(self, out) -> None:
+        """Write ``index,value`` rows to a path or to an open text file."""
+        if not hasattr(out, "write"):
+            with open(out, "w", encoding="utf-8") as handle:
+                return self.write_csv(handle)
+        out.write("index,value\n")
+        for i, value in enumerate(self.samples):
+            out.write(f"{i},{float(value)!r}\n")
 
 
 def ks_test(samples: Sequence[float], sigma2: float) -> KsResult:

@@ -16,7 +16,7 @@ moment algebra loads without it.
 
 CLI grammar: ``discrete:v1@w1,v2@w2,...`` | ``uniform:w`` | ``gaussian:v``
 with rationals written as ``p/q`` or integers. Mean zero is checked exactly
-at construction.
+at construction, and a discrete law needs at least two atoms.
 """
 
 from __future__ import annotations
@@ -64,8 +64,10 @@ class MomentModel:
 
     def __post_init__(self) -> None:
         if self.kind == DISCRETE:
-            if len(self.atoms) < 1:
-                raise ValueError("discrete model needs at least one atom")
+            if len(self.atoms) < 2:
+                # the only mean-zero law with one atom is the constant 0,
+                # whose traces do not fluctuate
+                raise ValueError("discrete model needs at least two atoms")
             values = [v for v, _ in self.atoms]
             if len(set(values)) != len(values):
                 raise ValueError("atom values must be distinct")

@@ -84,54 +84,36 @@ class TableVerification:
 def verify_reference_table(d: int) -> TableVerification:
     """Recompute every class for k = 1..5 and compare with the reference.
 
-    Checks each folded group's common count and multiplicity, rejects groups
-    with non-uniform counts, and flags any computed class the reference does
-    not list (absence is part of the contract).
+    Each reference row is compared with the computed classes of its folded
+    group (none if the group is missing): one common count and the expected
+    multiplicity. Any computed group the reference does not list is flagged
+    too (absence is part of the contract).
     """
-    expected_by_k: dict[int, dict[tuple, ReferenceRow]] = {}
-    for row in reference_rows(d):
-        expected_by_k.setdefault(row.k, {})[fold_key(row.exemplar)] = row
-
+    reference = reference_rows(d)
     result = TableVerification(d, True)
     for k in range(1, MAX_TABLE_POWER + 1):
-        table = path_counts(k, d)
-        groups: dict[tuple, dict] = {}
-        for index, count in table.counts.items():
-            group = groups.setdefault(fold_key(index), {"counts": set(), "classes": 0})
-            group["counts"].add(count)
-            group["classes"] += 1
-
-        expected = expected_by_k.get(k, {})
-        for key, row in expected.items():
-            group = groups.pop(key, None)
-            if group is None:
-                result.diffs.append(f"k={k}: class {row.label} missing")
-                result.rows.append(
-                    {"k": k, "class": row.label, "count": None, "classes": 0,
-                     "expected_count": row.count, "expected_classes": row.classes,
-                     "match": False}
-                )
-                continue
-            counts = group["counts"]
-            uniform = len(counts) == 1
-            count = counts.pop() if uniform else None
-            ok = uniform and count == row.count and group["classes"] == row.classes
+        groups: dict[tuple, list[int]] = {}
+        for index, count in path_counts(k, d).counts.items():
+            groups.setdefault(fold_key(index), []).append(count)
+        for row in (row for row in reference if row.k == k):
+            counts = groups.pop(fold_key(row.exemplar), [])
+            count = counts[0] if len(set(counts)) == 1 else None
+            ok = count == row.count and len(counts) == row.classes
             result.rows.append(
-                {"k": k, "class": row.label, "count": count,
-                 "classes": group["classes"], "expected_count": row.count,
-                 "expected_classes": row.classes, "match": ok}
+                {"k": k, "class": row.label, "count": count, "classes": len(counts),
+                 "expected_count": row.count, "expected_classes": row.classes,
+                 "match": ok}
             )
             if not ok:
-                result.diffs.append(
-                    f"k={k}: class {row.label} computed count={count} "
-                    f"classes={group['classes']}, expected count={row.count} "
-                    f"classes={row.classes}"
+                found = (
+                    f"computed count={count} classes={len(counts)}, expected "
+                    f"count={row.count} classes={row.classes}" if counts else "missing"
                 )
-        for key, group in groups.items():
-            exemplar = MultiIndex(d, key)
+                result.diffs.append(f"k={k}: class {row.label} {found}")
+        for key, counts in groups.items():
             result.diffs.append(
-                f"k={k}: unexpected class {exemplar.format()} with counts "
-                f"{sorted(group['counts'])} over {group['classes']} classes"
+                f"k={k}: unexpected class {MultiIndex(d, key).format()} with counts "
+                f"{sorted(set(counts))} over {len(counts)} classes"
             )
 
     result.match = not result.diffs

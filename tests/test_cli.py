@@ -57,12 +57,18 @@ def test_pathcount_single_class(capsys):
     assert code == 0 and out["p"] == 0
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_verify_table_passes(capsys, d):
     code, out, _ = run_cli(capsys, "verify-table", "--d", str(d))
     assert code == 0
     assert out["match"] is True
     assert out == {"schema_version": 1, **verify_reference_table(d).to_json_dict()}
+
+
+def test_verify_table_rejects_dimension_zero(capsys):
+    code, out, err = run_cli(capsys, "verify-table", "--d", "0")
+    assert code == 2 and out is None
+    assert err["error"]["type"] == "usage"
 
 
 def test_variance_command(capsys):
@@ -185,6 +191,76 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, command):
     assert code == 2 and out is None
     assert err["error"]["type"] == "usage"
     assert str(out_file) in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_unwritable_out_is_refused_before_any_work(capsys, monkeypatch, tmp_path, command):
+    import andersonstats.fluctuations as fluctuations_module
+
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("the experiment ran before --out was opened")
+
+    monkeypatch.setattr(fluctuations_module, "run_experiment", no_experiment)
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--poly", "0,0,1", "--dist", "uniform:1", "--d", "3", "--L", "10",
+            "--samples", "200", "--out", "missing-dir/x.csv"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "usage" and "missing-dir/x.csv" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_out_is_truncated_before_any_work(capsys, monkeypatch, tmp_path, command):
+    # like shell redirection: the file is emptied even when the run then fails
+    out_file = tmp_path / "samples.csv"
+    out_file.write_text("stale\n")
+    monkeypatch.setenv("ANDERSON_BUDGET", "10")
+    code, out, err = run_cli(
+        capsys, command, "--poly", "0,0,1", "--dist", "uniform:1", "--d", "1",
+        "--L", "5", "--samples", "50", "--out", str(out_file),
+    )
+    assert code == 3 and err["error"]["type"] == "resource"
+    assert out_file.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("variance", "--poly", "0,0,1"),
+        ("classify", "--poly", "0,0,1"),
+        ("degenerate",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_one_atom_law_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--dist", "discrete:0@1", "--d", "1")
+    assert code == 2 and out is None
+    assert err["error"]["type"] == "usage"
+    assert "two atoms" in err["error"]["message"]
+
+
+def test_integrity_error_is_json_with_exit_one(capsys, monkeypatch):
+    # the asymmetric table of test_asymmetric_table_raises_integrity_error,
+    # seen through the CLI: a JSON error on stderr, not a traceback
+    import andersonstats.variance as variance_module
+    from andersonstats import MultiIndex, PathCountTable
+
+    counts = dict(path_counts(5, 2).counts)
+    counts[MultiIndex.from_map(2, {(0, 0): 2, (1, 0): 1})] += 1
+    monkeypatch.setattr(variance_module, "path_counts", lambda k, d: PathCountTable(k, d, counts))
+    memos = (variance_module._orbits, variance_module._weights, variance_module._covariance)
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        code, out, err = run_cli(
+            capsys, "variance", "--poly", "0,0,0,0,0,1", "--dist", "uniform:1", "--d", "2"
+        )
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+    assert code == 1 and out is None
+    assert err["error"]["type"] == "integrity"
+    assert "k=5, d=2" in err["error"]["message"]
 
 
 # each command's first enumeration beyond a budget of 10 and its string count

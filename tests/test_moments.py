@@ -55,6 +55,8 @@ def test_model_validation():
         MomentModel.discrete([(1, Fraction(3, 2)), (-1, Fraction(-1, 2))])
     with pytest.raises(ValueError):
         MomentModel.discrete([(0, Fraction(1, 2)), (0, Fraction(1, 2))])
+    with pytest.raises(ValueError, match="two atoms"):
+        MomentModel.discrete([(0, 1)])  # the constant potential 0
     with pytest.raises(ValueError):
         MomentModel.uniform_symmetric(0)
     with pytest.raises(ValueError):
