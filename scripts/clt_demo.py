@@ -9,6 +9,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 
 from andersonstats import Poly, parse_distribution, run_experiment
@@ -25,12 +26,19 @@ def main() -> None:
     parser.add_argument("--out", help="optional CSV dump of the samples")
     args = parser.parse_args()
 
-    report = run_experiment(
-        Poly.parse(args.poly), parse_distribution(args.dist),
-        args.d, args.L, args.samples, args.seed,
-    )
-    if args.out:
-        report.write_csv(args.out)
+    # opened before any sampling, so a path that cannot be written is a
+    # usage error (exit 2) at once
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        parser.error(f"cannot write --out {args.out!r}: {exc.strerror or exc}")
+    with out:
+        report = run_experiment(
+            Poly.parse(args.poly), parse_distribution(args.dist),
+            args.d, args.L, args.samples, args.seed,
+        )
+        if args.out:
+            report.write_csv(out)
     payload = report.to_json_dict()
     payload.pop("samples")  # the CSV is the sample hand-off
     print(json.dumps(payload, indent=2))

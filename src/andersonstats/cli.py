@@ -11,7 +11,9 @@ truncating it as shell redirection does. The ``ANDERSON_BUDGET``
 environment variable (a positive decimal integer, default 10^9) is the only
 setting of the enumeration and memory budgets; any other value is a usage
 error. Each command imports only the layers it runs, inside its handler, so
-that an exact command loads neither the Monte Carlo layer nor numpy.
+that an exact command loads neither the Monte Carlo layer nor numpy; the
+value classes are built without ``inspect``, whose import costs about 10 ms
+per fresh interpreter.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ importing this module, as the CLI does for every command, loads neither.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -59,8 +58,7 @@ class MomentDiagnostics(NamedTuple):
     degenerate: bool
 
 
-@dataclass
-class FluctuationReport:
+class FluctuationReport(NamedTuple):
     """Samples of the normalized centered trace statistic plus test results.
 
     ``ks_statistic``/``ks_pvalue`` are None when the predicted variance is

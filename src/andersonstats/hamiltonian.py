@@ -25,11 +25,11 @@ the two never mix silently. numpy is imported only inside
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING
 
+from ._frozen import Frozen
 from .budget import check_budget
 from .lattice import adjacent, l1_ball
 from .moments import MomentModel, moment_product, sample
@@ -40,18 +40,19 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(Frozen):
     """The cube of radius L in Z^d: side 2L+1, volume (2L+1)^d."""
 
+    __slots__ = ("d", "L")
     d: int
     L: int
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if self.L < 1:
-            raise ValueError(f"box radius must be >= 1, got {self.L}")
+    def __init__(self, d: int, L: int) -> None:
+        if d < 1:
+            raise ValueError(f"dimension must be >= 1, got {d}")
+        if L < 1:
+            raise ValueError(f"box radius must be >= 1, got {L}")
+        self._set(d, L)
 
     @property
     def n_side(self) -> int:
@@ -62,7 +63,6 @@ class BoxSpec:
         return self.n_side**self.d
 
 
-@dataclass(eq=False)
 class SampledHamiltonian:
     """One disorder realization: the potential grid over the box.
 
@@ -70,15 +70,14 @@ class SampledHamiltonian:
     hopping part is implicit (nearest neighbor, coefficient 1, symmetric).
     """
 
-    box: BoxSpec
-    potential: np.ndarray
+    __slots__ = ("box", "potential")
 
-    def __post_init__(self) -> None:
-        expected = (self.box.n_side,) * self.box.d
-        if self.potential.shape != expected:
-            raise ValueError(
-                f"potential shape {self.potential.shape} != box shape {expected}"
-            )
+    def __init__(self, box: BoxSpec, potential: np.ndarray) -> None:
+        expected = (box.n_side,) * box.d
+        if potential.shape != expected:
+            raise ValueError(f"potential shape {potential.shape} != box shape {expected}")
+        self.box = box
+        self.potential = potential
 
 
 def sample_hamiltonian(box: BoxSpec, model: MomentModel, seed: int) -> SampledHamiltonian:

@@ -24,18 +24,18 @@ string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
 from typing import Mapping
+
+from ._frozen import Frozen
 
 Point = tuple[int, ...]
 # A signed axis permutation (perm, signs) maps p to q, q[i] = signs[i] p[perm[i]].
 Symmetry = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True, slots=True)
-class MultiIndex:
+class MultiIndex(Frozen):
     """Finitely supported map from lattice points to positive exponents.
 
     ``entries`` is sorted by point in lexicographic order, giving a canonical
@@ -43,23 +43,23 @@ class MultiIndex:
     never stored; the zero multi-index has empty ``entries``.
     """
 
+    __slots__ = ("d", "entries")
     d: int
-    entries: tuple[tuple[Point, int], ...] = ()
+    entries: tuple[tuple[Point, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+    def __init__(self, d: int, entries: tuple[tuple[Point, int], ...] = ()) -> None:
+        if d < 1:
+            raise ValueError(f"dimension must be >= 1, got {d}")
         previous: Point | None = None
-        for point, exponent in self.entries:
-            if len(point) != self.d:
-                raise ValueError(
-                    f"point {point!r} has dimension {len(point)}, expected {self.d}"
-                )
+        for point, exponent in entries:
+            if len(point) != d:
+                raise ValueError(f"point {point!r} has dimension {len(point)}, expected {d}")
             if exponent < 1:
                 raise ValueError(f"exponent at {point!r} must be >= 1, got {exponent}")
             if previous is not None and point <= previous:
                 raise ValueError("entries must be strictly sorted by point")
             previous = point
+        self._set(d, entries)
 
     @classmethod
     def from_map(cls, d: int, mapping: Mapping[Point, int]) -> "MultiIndex":

@@ -12,7 +12,9 @@ seed, so draws are reproducible and independent streams can be derived by
 XOR-ing a stream index into the seed. Discrete sampling inverts the CDF of
 the cumulative weights; uniform and gaussian use the generator's native
 transforms. numpy is imported only inside :func:`sample`, so the exact
-moment algebra loads without it.
+moment algebra loads without it. ``MomentModel`` hashes its ``Fraction``
+parameters once, at construction, so the moment caches keyed by the law do
+not re-hash them on every lookup.
 
 CLI grammar: ``discrete:v1@w1,v2@w2,...`` | ``uniform:w`` | ``gaussian:v``
 with rationals written as ``p/q`` or integers. Mean zero is checked exactly
@@ -22,11 +24,11 @@ at construction, and a discrete law needs at least two atoms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
+from ._frozen import Frozen
 from .lattice import MultiIndex
 
 if TYPE_CHECKING:
@@ -52,40 +54,46 @@ def _as_fraction(value) -> Fraction:
     raise ValueError(f"not an exact rational: {value!r}")
 
 
-@dataclass(frozen=True)
-class MomentModel:
+class MomentModel(Frozen):
     """A mean-zero site distribution with exact rational moments of every
     order (all three families have closed forms)."""
 
+    __slots__ = ("kind", "atoms", "half_width", "variance", "_hash")
     kind: str
-    atoms: tuple[tuple[Fraction, Fraction], ...] = ()
-    half_width: Fraction | None = None
-    variance: Fraction | None = None
+    atoms: tuple[tuple[Fraction, Fraction], ...]
+    half_width: Fraction | None
+    variance: Fraction | None
 
-    def __post_init__(self) -> None:
-        if self.kind == DISCRETE:
-            if len(self.atoms) < 2:
+    def __init__(self, kind: str, atoms: tuple[tuple[Fraction, Fraction], ...] = (),
+                 half_width: Fraction | None = None, variance: Fraction | None = None) -> None:
+        if kind == DISCRETE:
+            if len(atoms) < 2:
                 # the only mean-zero law with one atom is the constant 0,
                 # whose traces do not fluctuate
                 raise ValueError("discrete model needs at least two atoms")
-            values = [v for v, _ in self.atoms]
+            values = [v for v, _ in atoms]
             if len(set(values)) != len(values):
                 raise ValueError("atom values must be distinct")
-            if any(w <= 0 for _, w in self.atoms):
+            if any(w <= 0 for _, w in atoms):
                 raise ValueError("atom weights must be positive")
-            if sum(w for _, w in self.atoms) != 1:
+            if sum(w for _, w in atoms) != 1:
                 raise ValueError("atom weights must sum to 1 exactly")
-            mean = sum(v * w for v, w in self.atoms)
+            mean = sum(v * w for v, w in atoms)
             if mean != 0:
                 raise ValueError(f"mean must be exactly zero, got {mean}")
-        elif self.kind == UNIFORM:
-            if self.half_width is None or self.half_width <= 0:
+        elif kind == UNIFORM:
+            if half_width is None or half_width <= 0:
                 raise ValueError("uniform model needs a positive half width")
-        elif self.kind == GAUSSIAN:
-            if self.variance is None or self.variance <= 0:
+        elif kind == GAUSSIAN:
+            if variance is None or variance <= 0:
                 raise ValueError("gaussian model needs a positive variance")
         else:
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise ValueError(f"unknown model kind {kind!r}")
+        fields = (kind, atoms, half_width, variance)
+        self._set(*fields, hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def discrete(cls, atoms: Sequence[tuple]) -> "MomentModel":
@@ -103,8 +111,7 @@ class MomentModel:
         return cls(GAUSSIAN, variance=_as_fraction(variance))
 
 
-@dataclass(frozen=True)
-class SupportClass:
+class SupportClass(NamedTuple):
     """Cardinality classification of the support: two/three points or many."""
 
     kind: str  # "two_point" | "three_point" | "many"

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import Frozen
 
-@dataclass(frozen=True, slots=True)
-class Poly:
+
+class Poly(Frozen):
     """Univariate polynomial with exact rational coefficients, low to high.
 
     The trailing coefficient is nonzero; the zero polynomial stores no
@@ -15,11 +15,13 @@ class Poly:
     ``0,0,0,1`` for the cube.
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    __slots__ = ("coeffs",)
+    coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if self.coeffs and self.coeffs[-1] == 0:
+    def __init__(self, coeffs: tuple[Fraction, ...] = ()) -> None:
+        if coeffs and coeffs[-1] == 0:
             raise ValueError("trailing coefficient must be nonzero")
+        self._set(coeffs)
 
     @classmethod
     def from_coeffs(cls, coefficients) -> "Poly":

@@ -20,7 +20,7 @@ absence of anything unlisted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .lattice import MultiIndex, delta, fold_key
 from .walks import path_counts
@@ -28,8 +28,7 @@ from .walks import path_counts
 MAX_TABLE_POWER = 5
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
+class ReferenceRow(NamedTuple):
     k: int
     label: str
     exemplar: MultiIndex
@@ -68,14 +67,13 @@ def reference_rows(d: int) -> list[ReferenceRow]:
     ]
 
 
-@dataclass
-class TableVerification:
+class TableVerification(NamedTuple):
     """Outcome of re-enumerating lengths 1..5 against the reference rows."""
 
     d: int
     match: bool
-    rows: list[dict] = field(default_factory=list)
-    diffs: list[str] = field(default_factory=list)
+    rows: Sequence[dict] = ()
+    diffs: Sequence[str] = ()
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "match": self.match, "rows": self.rows, "diffs": self.diffs}
@@ -90,7 +88,8 @@ def verify_reference_table(d: int) -> TableVerification:
     too (absence is part of the contract).
     """
     reference = reference_rows(d)
-    result = TableVerification(d, True)
+    rows: list[dict] = []
+    diffs: list[str] = []
     for k in range(1, MAX_TABLE_POWER + 1):
         groups: dict[tuple, list[int]] = {}
         for index, count in path_counts(k, d).counts.items():
@@ -99,7 +98,7 @@ def verify_reference_table(d: int) -> TableVerification:
             counts = groups.pop(fold_key(row.exemplar), [])
             count = counts[0] if len(set(counts)) == 1 else None
             ok = count == row.count and len(counts) == row.classes
-            result.rows.append(
+            rows.append(
                 {"k": k, "class": row.label, "count": count, "classes": len(counts),
                  "expected_count": row.count, "expected_classes": row.classes,
                  "match": ok}
@@ -109,12 +108,10 @@ def verify_reference_table(d: int) -> TableVerification:
                     f"computed count={count} classes={len(counts)}, expected "
                     f"count={row.count} classes={row.classes}" if counts else "missing"
                 )
-                result.diffs.append(f"k={k}: class {row.label} {found}")
+                diffs.append(f"k={k}: class {row.label} {found}")
         for key, counts in groups.items():
-            result.diffs.append(
+            diffs.append(
                 f"k={k}: unexpected class {MultiIndex(d, key).format()} with counts "
                 f"{sorted(set(counts))} over {len(counts)} classes"
             )
-
-    result.match = not result.diffs
-    return result
+    return TableVerification(d, not diffs, rows, diffs)

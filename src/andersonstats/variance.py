@@ -13,8 +13,9 @@ A limiting covariance sums, over pairs of path-count classes and over the
 translates that overlap, the covariance of two site monomials. That
 covariance depends only on the sorted exponents of the joint monomial and
 of the two factors, so the pair loop fills two integer histograms keyed by
-those exponent tuples; the model's moments are evaluated once per key at
-the end. Both tables and their counts are invariant under the point
+those exponent tuples. The model's moment product of each distinct exponent
+tuple is evaluated once per law, and a key whose product is zero adds no
+term. Both tables and their counts are invariant under the point
 symmetries of Z^d, and so is each pair's offset sum, so the outer loop runs
 over one representative per orbit of classes, weighted by the orbit's size.
 The histograms are memoized per (sorted powers, d) for every law, and the
@@ -25,11 +26,11 @@ Everything here is pure rational arithmetic; no epsilon appears anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import add, sub
+from typing import NamedTuple
 
 from .lattice import MultiIndex, Point, delta, orbit
 from .moments import (
@@ -46,8 +47,7 @@ class IntegrityError(RuntimeError):
     """Two independent classification routes disagreed: an implementation bug."""
 
 
-@dataclass(frozen=True)
-class LimitCovariance:
+class LimitCovariance(NamedTuple):
     """One entry of the limiting covariance form of normalized trace powers."""
 
     k: int
@@ -114,13 +114,25 @@ def _weights(k: int, l: int, d: int) -> tuple[tuple, tuple]:
 
 
 @lru_cache(maxsize=None)
+def _moment_product(model: MomentModel, exponents: tuple[int, ...]) -> Fraction:
+    return moment_product(model, exponents)
+
+
+@lru_cache(maxsize=None)
 def _covariance(k: int, l: int, model: MomentModel, d: int) -> Fraction:
-    """The (k, l) covariance under ``model``, k <= l."""
+    """The (k, l) covariance under ``model``, k <= l; a key whose moment
+    product is zero adds no term."""
     joint, separate = _weights(k, l, d)
-    return sum(weight * moment_product(model, e) for e, weight in joint) - sum(
-        weight * moment_product(model, a) * moment_product(model, b)
-        for (a, b), weight in separate
-    )
+    total = Fraction(0)
+    for exponents, weight in joint:
+        value = _moment_product(model, exponents)
+        if value:
+            total += weight * value
+    for (a, b), weight in separate:
+        left = _moment_product(model, a)
+        if left and (right := _moment_product(model, b)):
+            total -= weight * left * right
+    return total
 
 
 def limiting_covariance(powers: tuple[int, int], model: MomentModel, d: int) -> Fraction:

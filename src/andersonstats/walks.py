@@ -33,7 +33,6 @@ any work starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import sub
@@ -187,8 +186,7 @@ def profiles(cls: VisitClass, rest: int) -> Iterator[tuple[Point, tuple, int]]:
         yield cls.sites[first], entries, cls.walks * ways
 
 
-@dataclass(frozen=True)
-class PathCountTable:
+class PathCountTable(NamedTuple):
     """Counts of balanced length-k strings per canonical profile class.
 
     Keys are canonical multi-indexes (fixed points of ``canonicalize``);

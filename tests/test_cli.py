@@ -416,7 +416,10 @@ def _fresh_interpreter(probe: str) -> str:
 def test_exact_commands_load_neither_numpy_nor_scipy():
     # the exact layer is integer and Fraction code; a fresh interpreter that
     # runs one exact command must never import the sampling libraries, nor
-    # the package layers the command does not run
+    # the package layers the command does not run, nor add dataclasses and
+    # inspect (a fixed cost of every command) to what a bare interpreter
+    # loads, which a .pth file may extend
+    bare = set(_fresh_interpreter("import sys; print(' '.join(sys.modules))").split())
     for argv in EXACT_COMMANDS:
         probe = (
             "import contextlib, io, sys, andersonstats, andersonstats.cli\n"
@@ -429,6 +432,7 @@ def test_exact_commands_load_neither_numpy_nor_scipy():
             f"andersonstats.{layer}" for layer in NOT_LOADED.get(argv[0], ())
         }
         assert not unwanted & loaded, (argv, sorted(unwanted & loaded))
+        assert not {"dataclasses", "inspect"} & (loaded - bare), (argv, sorted(loaded - bare))
 
 
 def test_public_names_resolve_lazily():

@@ -77,9 +77,11 @@ def test_offset_covariance_sum_adjacent_pair():
 def test_limiting_covariance_matches_offset_sums(d):
     # the exponent-histogram route over orbit representatives against the
     # direct per-pair, per-offset sums of offset_covariance_sum over every
-    # class pair; d=3 (48 point symmetries) up to power 4
+    # class pair; d=3 (48 point symmetries) up to power 4. The skewed law
+    # has nonzero odd moments, so the terms skipped for a zero moment
+    # product cannot hide a sign or pairing error under it
     powers = range(1, 5 if d == 3 else 7)
-    for model in ALL_KINDS:
+    for model in ALL_KINDS + ([SKEWED] if d < 3 else []):
         for k in powers:
             for l in powers:
                 left, right = path_counts(k, d), path_counts(l, d)
@@ -103,7 +105,12 @@ def test_limiting_covariance_memo_still_checks_budget(monkeypatch):
 
 
 def _clear_covariance_memos():
-    for memo in (variance_module._orbits, variance_module._weights, variance_module._covariance):
+    for memo in (
+        variance_module._orbits,
+        variance_module._weights,
+        variance_module._moment_product,
+        variance_module._covariance,
+    ):
         memo.cache_clear()
 
 
