@@ -210,6 +210,28 @@ def test_unwritable_out_is_refused_before_any_work(capsys, monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize("command", ["simulate", "report"])
+@pytest.mark.parametrize(
+    "poly, dist",
+    [("0,0,0,1", "gaussian:1e300"), ("0,1", "uniform:1e-200")],
+    ids=["variance-overflows", "variance-underflows"],
+)
+def test_law_outside_the_float_range_is_refused_before_sampling(
+    capsys, monkeypatch, command, poly, dist
+):
+    # sigma^2 is about 1e901 for the first law and 3e-401 for the second
+    import andersonstats.fluctuations as fluctuations_module
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn before the float range was checked")
+
+    monkeypatch.setattr(fluctuations_module, "sample", no_sampling)
+    code, out, err = run_cli(capsys, command, "--poly", poly, "--dist", dist, "--d", "1",
+                             "--L", "5", "--samples", "60")
+    assert code == 2 and out is None
+    assert err["error"]["type"] == "usage" and "float range" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
 def test_out_is_truncated_before_any_work(capsys, monkeypatch, tmp_path, command):
     # like shell redirection: the file is emptied even when the run then fails
     out_file = tmp_path / "samples.csv"
@@ -433,6 +455,30 @@ def test_exact_commands_load_neither_numpy_nor_scipy():
         }
         assert not unwanted & loaded, (argv, sorted(unwanted & loaded))
         assert not {"dataclasses", "inspect"} & (loaded - bare), (argv, sorted(loaded - bare))
+
+
+def test_monte_carlo_commands_run_without_scipy():
+    # scipy is a test oracle only: with it blocked, both sampling commands
+    # still run, and a run that can import it leaves it unloaded
+    tiny = ["--poly", "0,0,1", "--dist", "uniform:1", "--d", "1", "--L", "5", "--samples", "60"]
+    commands = [["simulate", *tiny], ["report", *tiny]]
+    probe = (
+        "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import andersonstats.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [andersonstats.cli.main(argv) for argv in {commands!r}]\n"
+        "print(codes)\n"
+    )
+    assert _fresh_interpreter(probe) == "[0, 0]"
+    probe = (
+        "import sys\n"
+        "from andersonstats import MomentModel, Poly, run_experiment\n"
+        "report = run_experiment(Poly.x_power(2), MomentModel.uniform_symmetric(1), 1, 5, 60, 0)\n"
+        "assert report.ks_pvalue is not None\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert _fresh_interpreter(probe) == "[]"
 
 
 def test_public_names_resolve_lazily():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from andersonstats import (
@@ -20,7 +21,7 @@ from andersonstats import (
     sigma_squared,
     trace_poly_numeric,
 )
-from andersonstats.fluctuations import CHUNK_CELLS
+from andersonstats.fluctuations import CHUNK_CELLS, _kolmogorov_sf, _normal_cdf
 from andersonstats.hamiltonian import half_power_cells
 
 UNIFORM = MomentModel.uniform_symmetric(1)
@@ -80,6 +81,28 @@ class TestKsTest:
         assert mine.statistic == pytest.approx(5e-5, rel=1e-6)
         assert reference.pvalue == 1.0
         assert mine.pvalue == pytest.approx(reference.pvalue, abs=1e-12)
+
+
+class TestPValueFunctions:
+    # scipy is the oracle here only: the package computes both functions with math
+    def test_kolmogorov_survival_matches_scipy(self):
+        # dense around the switch of series at x = 1, where each kept term counts
+        grid = np.unique(np.concatenate([
+            np.geomspace(1e-4, 40, 4001),
+            np.linspace(0.3, 1.5, 2401),
+            [1 - 1e-12, 1.0, 1 + 1e-12],
+        ]))
+        mine = np.array([_kolmogorov_sf(float(x)) for x in grid])
+        assert np.abs(mine - scipy.special.kolmogorov(grid)).max() <= 1e-14
+        assert mine.min() >= 0 and mine.max() <= 1
+        assert np.all(np.diff(mine) <= 0)
+
+    def test_kolmogorov_survival_is_one_at_and_below_zero(self):
+        assert _kolmogorov_sf(0.0) == _kolmogorov_sf(-3.0) == 1.0
+
+    def test_normal_cdf_matches_scipy(self):
+        z = np.linspace(-40, 40, 80_001)
+        assert np.abs(_normal_cdf(z) - scipy.special.ndtr(z)).max() <= 4e-16
 
 
 class TestMomentDiagnostics:
