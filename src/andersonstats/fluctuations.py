@@ -44,9 +44,10 @@ from .variance import sigma_squared
 if TYPE_CHECKING:
     import numpy as np
 
-# Half-power cells a chunk of samples may allocate at once (2^19 float64
-# cells, 4 MiB); a sample that needs more is traced alone.
-CHUNK_CELLS = 1 << 19
+# Half-power cells a chunk of samples may allocate at once (2^18 float64
+# cells, 2 MiB: a chunk's two live generations fit one core's L2 cache, and a
+# pass's transient peak RSS stays low); a sample that needs more is traced alone.
+CHUNK_CELLS = 1 << 18
 
 
 class KsResult(NamedTuple):
@@ -177,9 +178,9 @@ def moment_diagnostics(samples: Sequence[float]) -> MomentDiagnostics:
     m2 = float(np.mean(centered**2))
     if m2 == 0.0:
         return MomentDiagnostics(0.0, 0.0, se_skew, se_kurt, True)
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
-    return MomentDiagnostics(m3 / m2**1.5, m4 / m2**2 - 3.0, se_skew, se_kurt, False)
+    z = centered / math.sqrt(m2)  # not m3 / m2**1.5: that power underflows for a tiny m2
+    skewness, kurtosis = float(np.mean(z**3)), float(np.mean(z**4)) - 3.0
+    return MomentDiagnostics(skewness, kurtosis, se_skew, se_kurt, False)
 
 
 def run_experiment(

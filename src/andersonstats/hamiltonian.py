@@ -156,11 +156,15 @@ def trace_powers_batch(potentials: np.ndarray, max_power: int) -> np.ndarray:
         ]
         steps.append((i, (every, i) + sites, shifted, neighbours))
 
-    psi = np.ones((batch, 1, *grid))
+    # one workspace per call, exactly the cells charged: generation j is a prefix of half j % 2
+    halves = np.empty(batch * half_power_cells(d, n**d, max_power)).reshape(2, -1)
+    psi = halves[0, : batch * n**d].reshape(batch, 1, *grid)
+    psi.fill(1.0)
     traces = np.empty((batch, 2 * r))
     for j in range(1, r + 1):
         previous = psi.shape[1]
-        nxt = np.zeros((batch, _l1_ball_size(d, j), *grid))
+        nxt = halves[j % 2, : batch * _l1_ball_size(d, j) * n**d].reshape(batch, -1, *grid)
+        nxt.fill(0.0)
         for i, index, shifted, neighbours in steps:
             if i >= nxt.shape[1]:
                 break
@@ -170,10 +174,9 @@ def trace_powers_batch(potentials: np.ndarray, max_power: int) -> np.ndarray:
             for k, neighbour in neighbours:
                 if k < previous:
                     row += psi[neighbour]
-        flat, older = nxt.reshape(batch, -1), psi.reshape(batch, -1)
-        for b in range(batch):
-            traces[b, 2 * j - 2] = flat[b, : older.shape[1]] @ older[b]
-            traces[b, 2 * j - 1] = flat[b] @ flat[b]
+        flat, older = nxt.reshape(batch, 1, -1), psi.reshape(batch, -1, 1)
+        traces[:, 2 * j - 2] = np.matmul(flat[:, :, : older.shape[1]], older)[:, 0, 0]
+        traces[:, 2 * j - 1] = np.matmul(flat, flat.reshape(batch, -1, 1))[:, 0, 0]
         psi = nxt
     return traces[:, :max_power]
 

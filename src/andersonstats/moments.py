@@ -164,18 +164,33 @@ def monomial_expectation(model: MomentModel, index: MultiIndex) -> Fraction:
     return moment_product(model, (e for _, e in index.entries))
 
 
+@lru_cache(maxsize=None)
+def _generator() -> np.random.Generator:
+    import numpy as np
+
+    return np.random.Generator(np.random.Philox(key=0))
+
+
 def sample(model: MomentModel, seed: int, count: int) -> np.ndarray:
     """``count`` iid draws, reproducible for a given seed (Philox keyed).
 
     Only the low 64 bits of the seed key the stream, so negative and large
     seeds are fine. Derive order-independent streams by XOR-ing a stream
-    index into the seed before calling.
+    index into the seed before calling. The draws equal those of a fresh
+    ``Generator(Philox(key=seed & (2**64 - 1)))``, but the generator is one
+    module-level object whose state (counter 0, key [seed, 0], empty buffer)
+    each call resets; that is safe only because sampling is serial.
     """
     import numpy as np
 
     if count < 0:
         raise ValueError("count must be >= 0")
-    rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    rng, zeros = _generator(), np.zeros(4, np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": np.array([seed & _MASK64, 0], np.uint64)},
+        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     if model.kind == DISCRETE:
         values = np.array([float(v) for v, _ in model.atoms])
         cumulative = np.cumsum([float(w) for _, w in model.atoms])

@@ -231,6 +231,24 @@ def test_law_outside_the_float_range_is_refused_before_sampling(
     assert err["error"]["type"] == "usage" and "float range" in err["error"]["message"]
 
 
+def test_tiny_positive_variance_gives_finite_diagnostics(capsys):
+    # sigma^2 = 3.6e-299 is a float, and so is the samples' second moment,
+    # but that moment to the power 1.5 underflows to 0
+    import numpy as np
+    import scipy.stats
+
+    code, out, err = run_cli(capsys, "simulate", "--poly", "0,0,0,1", "--dist", "gaussian:1e-300",
+                             "--d", "1", "--L", "5", "--samples", "60")
+    assert code == 0 and err is None
+    samples = np.array(out["samples"])
+    assert 0 < float(np.var(samples)) < 1e-290
+    # scipy takes the same power of the raw samples and returns nan; skewness
+    # and kurtosis do not change under scaling, and scaling by 2^500 is exact
+    scaled = samples * 2.0**500
+    assert out["skewness"] == pytest.approx(float(scipy.stats.skew(scaled)), rel=1e-12)
+    assert out["excess_kurtosis"] == pytest.approx(float(scipy.stats.kurtosis(scaled)), rel=1e-12)
+
+
 @pytest.mark.parametrize("command", ["simulate", "report"])
 def test_out_is_truncated_before_any_work(capsys, monkeypatch, tmp_path, command):
     # like shell redirection: the file is emptied even when the run then fails

@@ -140,12 +140,13 @@ def test_thread_count_does_not_change_results():
 
 
 # d=1, L=200 at degree 5 takes 2 * 401 * 7 = 5614 half-power cells per
-# sample, so 93 samples share a chunk and the runs below cross chunk
-# boundaries; d=3, L=10 at degree 3 takes 463050 cells and is traced alone
+# sample, so 2^18 // 5614 = 46 samples share a chunk and the runs below
+# cross chunk boundaries; d=3, L=10 at degree 3 takes 463050 cells and is
+# traced alone
 @pytest.mark.parametrize(
     "d,L,p,n,chunk",
     [
-        (1, 200, Poly.from_coeffs([1, 2, 0, -1, 0, 1]), 200, 93),
+        (1, 200, Poly.from_coeffs([1, 2, 0, -1, 0, 1]), 200, 46),
         (3, 10, Poly.from_coeffs([0, 0, 1, 1]), 3, 1),
     ],
     ids=["d1-chunks", "d3-one-per-chunk"],

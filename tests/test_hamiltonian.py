@@ -154,6 +154,21 @@ def test_trace_powers_match_dense_eigendecomposition(d, L, stack, max_power):
             assert abs(trace - oracle) <= 1e-10 * float(np.sum(np.abs(eigenvalues) ** k))
 
 
+def test_trace_powers_batch_does_not_depend_on_earlier_calls():
+    # each call takes its own workspace: a d=3 stack, then a larger d=1 stack,
+    # then a smaller one, each row equal to its own stack of one
+    for d, L, stack, max_power in [(3, 2, 2, 5), (1, 9, 5, 6), (1, 2, 3, 3)]:
+        box = BoxSpec(d, L)
+        hs = [sample_hamiltonian(box, GAUSSIAN, 1000 * d + 10 * L + s) for s in range(stack)]
+        batched = trace_powers_batch(np.stack([h.potential for h in hs]), max_power)
+        for h, row in zip(hs, batched):
+            assert np.array_equal(row, trace_powers_batch(h.potential[None], max_power)[0])
+            eigenvalues = np.linalg.eigvalsh(dense_matrix(h))
+            for k, trace in enumerate(row.tolist(), start=1):
+                oracle = float(np.sum(eigenvalues**k))
+                assert abs(trace - oracle) <= 1e-10 * float(np.sum(np.abs(eigenvalues) ** k))
+
+
 def test_trace_powers_budget_counts_two_half_power_generations(monkeypatch):
     box = BoxSpec(2, 2)
     max_power = 5

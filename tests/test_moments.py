@@ -121,6 +121,35 @@ def test_sampling_is_deterministic():
         assert not np.array_equal(first, sample(model, 987654321, 64))
 
 
+def _fresh_stream(model, seed, count):
+    """Draws of a generator built for this call alone, keyed by the seed."""
+    rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+    if model.kind == "uniform":
+        return rng.uniform(-float(model.half_width), float(model.half_width), count)
+    if model.kind == "gaussian":
+        return rng.normal(0.0, np.sqrt(float(model.variance)), count)
+    values = np.array([float(v) for v, _ in model.atoms])
+    cumulative = np.cumsum([float(w) for _, w in model.atoms])
+    picks = np.searchsorted(cumulative, rng.random(count), side="right")
+    return values[np.minimum(picks, len(values) - 1)]
+
+
+@pytest.mark.parametrize("model", [UNIFORM, GAUSSIAN, SKEWED], ids=["uniform", "gaussian", "discrete"])
+@pytest.mark.parametrize("seed", [0, 1, 7919, 2**54 + 1, -3])
+def test_sampling_equals_a_fresh_generator(model, seed):
+    # one generator serves every call; each call must start it afresh
+    assert np.array_equal(sample(model, seed, 257), _fresh_stream(model, seed, 257))
+
+
+@pytest.mark.parametrize("model", [UNIFORM, GAUSSIAN, SKEWED], ids=["uniform", "gaussian", "discrete"])
+def test_sampling_leaves_no_state_behind(model):
+    first = sample(model, 7919, 101)
+    other = sample(model, -3, 3)
+    again = sample(model, 7919, 101)
+    assert np.array_equal(first, again)
+    assert not np.array_equal(first[:3], other)
+
+
 def test_sampling_respects_support():
     draws = sample(TWO_POINT, 7, 10_000)
     assert set(np.unique(draws)) <= {-1.0, 1.0}
